@@ -65,15 +65,11 @@ fn report_build_speedup() {
     let par = time(4);
     println!(
         "engine_build: 16 shards at n=10^7, 4 build threads vs sequential = \
-         {:.2}x speedup ({:.1} vs {:.1} Mnode/s; host has {cores} core(s){})",
+         {:.2}x speedup ({:.1} vs {:.1} Mnode/s; host has {cores} core(s), {})",
         seq / par,
         N_REPORT as f64 / par / 1e6,
         N_REPORT as f64 / seq / 1e6,
-        if cores < 4 {
-            " — parallel construction cannot speed up on this host"
-        } else {
-            ""
-        }
+        kst_bench::speedup_ceiling_note(cores, 4)
     );
 }
 

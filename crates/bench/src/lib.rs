@@ -25,6 +25,18 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// The note a threading bench prints after a speedup it measured with
+/// `threads` threads on a host with `cores` cores: one core cannot run
+/// threads in parallel at all; otherwise the ratio is capped at
+/// `min(cores, threads)`×.
+pub fn speedup_ceiling_note(cores: usize, threads: usize) -> String {
+    if cores <= 1 {
+        String::from("threads cannot speed up on this 1-core host")
+    } else {
+        format!("ceiling {}x on this host", cores.min(threads))
+    }
+}
+
 /// Where `results/*.md` files go.
 ///
 /// Resolution order, so reports land somewhere sensible no matter where

@@ -3,8 +3,7 @@
 //! Builds a call-graph approximation rooted at the hot-path entry points
 //! (`serve`, `restructure`, `splay_until`, `distance_lca`, the engine
 //! `worker_loop`, and the kst-obs recorders `Histogram::record`,
-//! `Tracer::record`, `ObsCollector::observe`, `ShardObs::observe` and
-//! friends) and flags every transitive call to an allocating API.
+//! `Tracer::record`, `ObsCollector::observe` and friends) and flags every transitive call to an allocating API.
 //! Resolution is by name — an over-approximation that trades precision
 //! for zero dependencies — so every cold-by-design boundary (epoch
 //! rebuilds, ledger growth) is cut explicitly with a
@@ -35,13 +34,11 @@ const ROOT_NAMES: &[(&str, Option<&str>)] = &[
     ("distance_lca", None),
     ("worker_loop", None),
     // Depth-cache hot paths: the armed O(1) depth lookup, its parent-walk
-    // fallback, the cache drop on restructure (`Vec::new()` never
-    // allocates, and frees are outside the probe's contract), and the
-    // prefetch hint issued on every climb step of `distance_lca`.
+    // fallback, and the cache drop on restructure (`Vec::new()` never
+    // allocates, and frees are outside the probe's contract).
     ("depth", Some("KstTree")),
     ("depth_walk", Some("KstTree")),
     ("disarm_depth_cache", Some("KstTree")),
-    ("prefetch_read", None),
     // kst-engine dispatch helpers: the shared ShardMap routing
     // decomposition, the router-spine charge, and the sequential serve
     // entry point must stay allocation-free outside the documented
@@ -61,8 +58,7 @@ const ROOT_NAMES: &[(&str, Option<&str>)] = &[
     ("record_timed", Some("Tracer")),
     ("observe", Some("ObsCollector")),
     ("observe_timed", Some("ObsCollector")),
-    ("observe", Some("ShardObs")),
-    ("observe_timed", Some("ShardObs")),
+    ("book", Some("ObsCollector")),
 ];
 
 /// Macros that always allocate.

@@ -130,10 +130,9 @@ fn prefetch_without_safety_comment_is_flagged() {
 
 #[test]
 fn prefetch_with_safety_comment_is_clean() {
-    // Pins the shipped `kst_core::prefetch_read` shape: the hygiene lint
-    // must accept the intrinsic exactly as written there (SAFETY comment
-    // adjacent to the sole unsafe block) and nothing else may fire —
-    // `prefetch_read` is also a no-alloc root.
+    // The hygiene lint must accept an intrinsic written this way (SAFETY
+    // comment adjacent to the sole unsafe block), and nothing else may
+    // fire.
     let findings = analyze("tests/fixtures/prefetch_good.rs", "kst-core");
     assert!(
         of_lint(&findings, "unsafe-hygiene").is_empty(),

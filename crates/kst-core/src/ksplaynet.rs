@@ -168,6 +168,10 @@ impl Network for KSplayNet {
     fn label(&self) -> String {
         format!("{}-ary SplayNet", self.tree.k())
     }
+
+    fn as_reshardable(&mut self) -> Option<&mut dyn Reshardable> {
+        Some(self)
+    }
 }
 
 impl Reshardable for KSplayNet {

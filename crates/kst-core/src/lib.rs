@@ -38,7 +38,6 @@ pub mod key;
 pub mod ksplaynet;
 pub mod lazy;
 pub mod net;
-pub mod prefetch;
 pub mod pushdown;
 pub mod reshard;
 pub mod restructure;
@@ -49,8 +48,8 @@ pub mod splay;
 pub mod tree;
 pub mod viz;
 
-// Send-safety audit: the sharded engine (`kst-engine`) moves whole
-// networks into worker threads, so every network type — and the arena
+// Send-safety audit: the sharded engine (`kst-engine`) lends whole
+// networks to worker threads, so every network type — and the arena
 // tree underneath — must stay `Send`. The arena design (struct-of-arrays
 // `Vec`s, no `Rc`/`RefCell`, no raw pointers, thread-local-free scratch)
 // gives this for free today; these assertions turn any future regression
@@ -84,7 +83,6 @@ pub use lazy::{
     IncrementalWeightBalanced, LazyKaryNet, Rebuild, RebuildPlan, SubtreePatch,
 };
 pub use net::{Network, ServeCost};
-pub use prefetch::prefetch_read;
 pub use pushdown::PushDownNet;
 pub use reshard::Reshardable;
 pub use restructure::{RestructureStats, WindowPolicy};

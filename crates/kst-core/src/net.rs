@@ -9,6 +9,7 @@
 //! Section 5 — and as physical links changed).
 
 use crate::key::NodeKey;
+use crate::reshard::Reshardable;
 
 /// Per-request cost breakdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,4 +55,11 @@ pub trait Network {
 
     /// Short human-readable description for reports.
     fn label(&self) -> String;
+
+    /// The network's boundary-run surgery, if its type supports it — what
+    /// the sharded engine's live resharding splices with. `None` (the
+    /// default) for networks that cannot donate or accept key runs.
+    fn as_reshardable(&mut self) -> Option<&mut dyn Reshardable> {
+        None
+    }
 }

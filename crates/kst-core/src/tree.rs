@@ -1072,12 +1072,11 @@ impl KstTree {
     ///
     /// While the depth cache is armed the two O(depth) depth pre-walks
     /// collapse to two O(1) lookups and only the aligned climb chases
-    /// pointers (with software prefetch hints one step ahead — see
-    /// [`crate::prefetch`]). Disarmed, the pre-walks run but are
-    /// **interleaved**: the two parent chains are independent, so
-    /// alternating their loads lets the cache misses of one chain overlap
-    /// the other's instead of serializing two full root walks. Both paths
-    /// return bit-identical results — the differential oracles pin this.
+    /// pointers. Disarmed, the pre-walks run but are **interleaved**: the
+    /// two parent chains are independent, so alternating their loads lets
+    /// the cache misses of one chain overlap the other's instead of
+    /// serializing two full root walks. Both paths return bit-identical
+    /// results — the differential oracles pin this.
     pub fn distance_lca(&self, u: NodeIdx, v: NodeIdx) -> (u64, NodeIdx) {
         if u == v {
             return (0, u);
@@ -1117,19 +1116,15 @@ impl KstTree {
         let (mut da, mut db) = (du, dv);
         while da > db {
             a = self.parent[a as usize];
-            crate::prefetch::prefetch_read(&self.parent, a as usize);
             da -= 1;
         }
         while db > da {
             b = self.parent[b as usize];
-            crate::prefetch::prefetch_read(&self.parent, b as usize);
             db -= 1;
         }
         while a != b {
             a = self.parent[a as usize];
             b = self.parent[b as usize];
-            crate::prefetch::prefetch_read(&self.parent, a as usize);
-            crate::prefetch::prefetch_read(&self.parent, b as usize);
             da -= 1;
         }
         ((du - da + (dv - da)) as u64, a)

@@ -65,11 +65,11 @@
 //! sequential one, with or without resharding, which the differential
 //! tests assert.
 
-use crate::obs::{observed_serve, record_handoff, ObsMode, ObsReport, ShardObs};
+use crate::obs::{observed_serve, span_ts, ObsMode, ObsReport};
 use crate::shard::ShardMap;
-use kst_core::{KSplayNet, Network, PatchStats, Reshardable, ServeCost, ShapeTree};
+use kst_core::{KSplayNet, Network, ServeCost};
 use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
-use kst_sim::Metrics;
+use kst_sim::{Metrics, ObsCollector};
 use kst_workloads::{DecayingDemand, KeyRange, NodeKey, Trace};
 use std::sync::mpsc;
 
@@ -408,12 +408,13 @@ impl EngineReport {
     }
 }
 
-/// One queued shard operation. `half` distinguishes the gateway
-/// half-serves of cross-shard requests (cost booked to the router's
-/// cross-shard account) from whole intra-shard requests.
+/// One queued shard operation. `lane` is the shard's index among its
+/// worker's shards; `half` distinguishes the gateway half-serves of
+/// cross-shard requests (cost booked to the router's cross-shard account)
+/// from whole intra-shard requests.
 #[derive(Debug, Clone, Copy)]
 struct Op {
-    shard: u32,
+    lane: u32,
     a: NodeKey,
     b: NodeKey,
     half: bool,
@@ -483,31 +484,12 @@ fn router_serve(
     }
 }
 
-/// The reshard surgery entry points of the concrete net type, captured
-/// as plain function pointers so `ShardedEngine<N>` keeps working for
-/// net types that are not [`Reshardable`] (the capability is attached by
-/// [`ShardedEngine::with_resharding`], never demanded by the engine's
-/// own bounds).
-struct ReshardOps<N> {
-    extract_low: fn(&mut N, usize) -> (ShapeTree, PatchStats),
-    extract_high: fn(&mut N, usize) -> (ShapeTree, PatchStats),
-    absorb_low: fn(&mut N, &ShapeTree) -> PatchStats,
-    absorb_high: fn(&mut N, &ShapeTree) -> PatchStats,
-}
-
-impl<N> Clone for ReshardOps<N> {
-    fn clone(&self) -> ReshardOps<N> {
-        *self
-    }
-}
-
-impl<N> Copy for ReshardOps<N> {}
-
-/// Live-resharding state: the surgery ops plus the decaying cross-shard
-/// demand ledger migrations are planned from.
-struct ReshardState<N> {
-    ops: ReshardOps<N>,
-    demand: DecayingDemand,
+/// One shard as a worker holds it while a slice drains: the engine's own
+/// net, lent for the scope, and the report slots the worker books into.
+struct Lane<'a, N> {
+    net: &'a mut N,
+    intra: &'a mut Metrics,
+    obs: Option<&'a mut ObsCollector>,
 }
 
 /// A sharded serving engine: `S` independent shard networks plus the
@@ -521,10 +503,10 @@ pub struct ShardedEngine<N> {
     /// (or with fewer than two shards), where the router is a constant
     /// charge instead of a network.
     spine: Option<KSplayNet>,
-    /// Present iff [`ShardedEngine::with_resharding`] attached the
-    /// surgery ops (the convenience constructors of reshardable net
-    /// types do it automatically).
-    reshard: Option<ReshardState<N>>,
+    /// The decaying cross-shard demand ledger migrations are planned
+    /// from; present iff live resharding is enabled over two or more
+    /// shards. The splice itself comes from [`Network::as_reshardable`].
+    demand: Option<DecayingDemand>,
     cfg: EngineConfig,
     /// Run-origin clock: every wall-clock timestamp an observed run
     /// stamps (span `ts`, rebuild pauses) is an offset from this, so all
@@ -577,36 +559,24 @@ impl<N: Network> ShardedEngine<N> {
             // `w, w + T, w + 2T, …`. Shard sizes differ by at most one
             // key, so stealing buys nothing, and each worker holding one
             // in-flight build caps transient overlap at `workers`.
-            let mut slots: Vec<Option<N>> = (0..shards).map(|_| None).collect();
             std::thread::scope(|scope| {
                 let build = &build;
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
                         scope.spawn(move || {
-                            let mut out: Vec<(usize, N)> = Vec::new();
-                            let mut s = w;
-                            while s < shards {
-                                out.push((s, build(s)));
-                                s += workers;
-                            }
-                            out
+                            let mine = (w..shards).step_by(workers);
+                            mine.map(|s| (s, build(s))).collect::<Vec<_>>()
                         })
                     })
                     .collect();
+                let mut built = Vec::with_capacity(shards);
                 for h in handles {
                     // ksan-allow: panic-surface a worker panic is a factory bug; re-raising it here preserves the factory's own diagnostic
-                    for (s, net) in h.join().expect("shard build worker panicked") {
-                        slots[s] = Some(net);
-                    }
+                    built.extend(h.join().expect("shard build worker panicked"));
                 }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    // ksan-allow: panic-surface every shard index is visited by exactly one worker above
-                    slot.expect("shard slot left unbuilt")
-                })
-                .collect()
+                built.sort_unstable_by_key(|&(s, _)| s);
+                built.into_iter().map(|(_, net)| net).collect()
+            })
         };
         let spine = match cfg.spine {
             SpineMode::KSplay { k } if map.shards() >= 2 => {
@@ -614,11 +584,13 @@ impl<N: Network> ShardedEngine<N> {
             }
             _ => None,
         };
+        let demand = (cfg.reshard.enabled && shards >= 2)
+            .then(|| DecayingDemand::new(map.n(), cfg.reshard.half_life));
         ShardedEngine {
             map,
             nets,
             spine,
-            reshard: None,
+            demand,
             cfg,
             origin: Stopwatch::start(),
         }
@@ -677,40 +649,44 @@ impl<N: Network> ShardedEngine<N> {
         c
     }
 
-    /// Replays a request slice on the calling thread into an existing
-    /// report (the per-epoch unit of the resharding loop).
-    fn run_slice_seq(&mut self, requests: &[(NodeKey, NodeKey)], report: &mut EngineReport) {
-        for &(u, v) in requests {
-            self.serve_one(u, v, report);
-        }
-    }
-
-    /// Panics with a usable message when resharding is switched on for a
-    /// net type whose surgery ops were never attached.
-    fn assert_reshardable(&self) {
-        assert!(
-            self.reshard.is_some(),
-            "resharding is enabled but this engine has no reshard ops: \
-             construct via a reshardable net (e.g. ShardedEngine::ksplay) \
-             or call with_resharding()"
-        );
-    }
-
     /// Replays the whole trace on the calling thread (epoch-chunked when
     /// resharding is enabled).
     pub fn run_trace_seq(&mut self, trace: &Trace) -> EngineReport {
-        assert_eq!(trace.n(), self.map.n(), "trace keyspace != engine keyspace");
-        let mut report = EngineReport::new(self.map.shards());
-        report.obs = ObsReport::with_config(self.map.shards(), self.cfg.obs, self.cfg.obs_events);
-        if self.cfg.reshard.enabled && self.map.shards() >= 2 {
-            self.assert_reshardable();
-            let epoch = self.cfg.reshard.epoch.max(1);
-            for chunk in trace.requests().chunks(epoch) {
-                self.run_slice_seq(chunk, &mut report);
-                self.reshard_boundary(chunk, &mut report);
+        self.run_epochs(trace, |engine, requests, report| {
+            for &(u, v) in requests {
+                engine.serve_one(u, v, report);
             }
+        })
+    }
+
+    /// The one replay loop behind both run paths: `run_slice` serves a
+    /// request slice into the report — one epoch at a time with a
+    /// rebalance after each when resharding is on, else the whole trace.
+    fn run_epochs(
+        &mut self,
+        trace: &Trace,
+        mut run_slice: impl FnMut(&mut Self, &[(NodeKey, NodeKey)], &mut EngineReport),
+    ) -> EngineReport {
+        assert_eq!(trace.n(), self.map.n(), "trace keyspace != engine keyspace");
+        let shards = self.map.shards();
+        let mut report = EngineReport::new(shards);
+        report.obs = ObsReport::with_config(shards, self.cfg.obs, self.cfg.obs_events);
+        let epoch = if self.demand.is_some() {
+            assert!(
+                self.nets
+                    .iter_mut()
+                    .all(|net| net.as_reshardable().is_some()),
+                "resharding is enabled but this engine's shard nets have no reshard ops: \
+                 use a net type whose Network::as_reshardable returns Some \
+                 (e.g. ShardedEngine::ksplay)"
+            );
+            self.cfg.reshard.epoch.max(1)
         } else {
-            self.run_slice_seq(trace.requests(), &mut report);
+            usize::MAX
+        };
+        for chunk in trace.requests().chunks(epoch) {
+            run_slice(self, chunk, &mut report);
+            self.reshard_boundary(chunk, &mut report);
         }
         report
     }
@@ -723,21 +699,17 @@ impl<N: Network> ShardedEngine<N> {
     /// deterministic given the trace and config, independent of the
     /// worker/batch layout.
     fn reshard_boundary(&mut self, chunk: &[(NodeKey, NodeKey)], report: &mut EngineReport) {
-        let Some(state) = self.reshard.as_mut() else {
+        let Some(demand) = self.demand.as_mut() else {
             return;
         };
         let shards = self.map.shards();
-        if shards < 2 {
-            return;
-        }
         for &(u, v) in chunk {
             if self.map.shard_of(u) != self.map.shard_of(v) {
-                state.demand.record(u, v);
+                demand.record(u, v);
             }
         }
-        state.demand.decay_merge();
-        let pairs = state.demand.pairs_sorted();
-        let ops = state.ops;
+        demand.decay_merge();
+        let pairs = demand.pairs_sorted();
         if report.obs.mode != ObsMode::Off {
             let mut load = vec![0u64; shards];
             for &(u, v, w) in &pairs {
@@ -812,14 +784,17 @@ impl<N: Network> ShardedEngine<N> {
         // Apply: splice the boundary run out of the donor tree and hand
         // the fragment (learned shape intact) to the neighbour, then
         // shift the map boundary and bump its version.
+        let (below, above) = self.nets.split_at_mut(b + 1);
+        let (Some(left), Some(right)) = (below[b].as_reshardable(), above[0].as_reshardable())
+        else {
+            unreachable!("run_epochs checked that every shard net is reshardable");
+        };
         let links = if delta > 0 {
-            let (frag, s1) = (ops.extract_low)(&mut self.nets[b + 1], l);
-            let s2 = (ops.absorb_high)(&mut self.nets[b], &frag);
-            s1.links_changed + s2.links_changed
+            let (frag, s1) = right.extract_low(l);
+            s1.links_changed + left.absorb_high(&frag).links_changed
         } else {
-            let (frag, s1) = (ops.extract_high)(&mut self.nets[b], l);
-            let s2 = (ops.absorb_low)(&mut self.nets[b + 1], &frag);
-            s1.links_changed + s2.links_changed
+            let (frag, s1) = left.extract_high(l);
+            s1.links_changed + right.absorb_low(&frag).links_changed
         };
         self.map.shift_boundary(b, delta);
         // ksan-allow: panic-surface the post-shift validate is the migration applier's own integrity gate; a failure means corrupted state that must not serve
@@ -844,25 +819,6 @@ impl<N: Network> ShardedEngine<N> {
     }
 }
 
-impl<N: Network + Reshardable> ShardedEngine<N> {
-    /// Attaches the live-resharding surgery ops (and a fresh demand
-    /// ledger) to the engine. Required before running with
-    /// [`ReshardConfig::enabled`]; an inert capability otherwise. The
-    /// reshardable convenience constructors call this automatically.
-    pub fn with_resharding(mut self) -> ShardedEngine<N> {
-        self.reshard = Some(ReshardState {
-            ops: ReshardOps {
-                extract_low: N::extract_low,
-                extract_high: N::extract_high,
-                absorb_low: N::absorb_low,
-                absorb_high: N::absorb_high,
-            },
-            demand: DecayingDemand::new(self.map.n(), self.cfg.reshard.half_life),
-        });
-        self
-    }
-}
-
 impl<N: Network + Send> ShardedEngine<N> {
     /// Replays the trace on a pool of `min(threads, shards)` workers with
     /// per-worker request queues and batched dispatch, falling back to the
@@ -875,64 +831,86 @@ impl<N: Network + Send> ShardedEngine<N> {
         if workers <= 1 {
             return self.run_trace_seq(trace);
         }
-        assert_eq!(trace.n(), self.map.n(), "trace keyspace != engine keyspace");
-        if self.cfg.reshard.enabled && self.map.shards() >= 2 {
-            self.assert_reshardable();
-            let mut acc = EngineReport::new(self.map.shards());
-            acc.obs = ObsReport::with_config(self.map.shards(), self.cfg.obs, self.cfg.obs_events);
-            let epoch = self.cfg.reshard.epoch.max(1);
-            for chunk in trace.requests().chunks(epoch) {
-                let part = self.run_slice_threaded(chunk, workers);
-                acc.merge(&part);
-                self.reshard_boundary(chunk, &mut acc);
-            }
-            return acc;
-        }
-        self.run_slice_threaded(trace.requests(), workers)
+        self.run_epochs(trace, |engine, requests, report| {
+            engine.run_slice_threaded(requests, workers, report);
+        })
     }
 
+    /// Serves a request slice on `workers` scoped threads into `report`.
+    /// Each worker borrows its shards' nets and report slots for the
+    /// scope, so the engine's nets never leave it — not even when a
+    /// worker panics.
     fn run_slice_threaded(
         &mut self,
         requests: &[(NodeKey, NodeKey)],
         workers: usize,
-    ) -> EngineReport {
+        report: &mut EngineReport,
+    ) {
         let shards = self.map.shards();
         let batch = self.cfg.batch.max(1);
         let router_hops = self.cfg.router_hops;
-        let obs_mode = self.cfg.obs;
-        let obs_events = self.cfg.obs_events;
+        let mode = report.obs.mode;
         let origin = self.origin;
         let map = &self.map;
         let spine = &mut self.spine;
-
-        // Move each shard's net into its worker's slot (shard s → worker
-        // s % workers, ascending, so a worker finds shard s at local
-        // index s / workers).
-        let mut parked: Vec<Option<N>> = std::mem::take(&mut self.nets)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut worker_nets: Vec<Vec<N>> = (0..workers).map(|_| Vec::new()).collect();
-        for (s, slot) in parked.iter_mut().enumerate() {
-            // ksan-allow: panic-surface each shard slot is taken exactly once by this distribution loop
-            worker_nets[s % workers].push(slot.take().expect("net moved twice"));
+        if mode != ObsMode::Off {
+            for w in report.obs.workers.len()..workers {
+                let track = shards + 1 + w;
+                let track = track as u32;
+                let tracer = Tracer::with_capacity(track, self.cfg.obs_events);
+                report.obs.workers.push(tracer);
+            }
         }
 
-        let mut report = EngineReport::new(shards);
-        report.obs = ObsReport::with_config(shards, obs_mode, obs_events);
+        // Lend each shard to its worker in contiguous blocks (shard s →
+        // worker s * workers / shards): serving writes to the net structs,
+        // and blocks keep each worker's nets together in `self.nets`, so
+        // only the nets at block edges neighbour another worker's.
+        // `slots[s]` is shard s's worker and its lane index there.
+        let mut lanes: Vec<Vec<Lane<'_, N>>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut slots = Vec::with_capacity(shards);
+        let mut shard_obs = report.obs.per_shard.iter_mut();
+        for (s, (net, intra)) in self.nets.iter_mut().zip(&mut report.per_shard).enumerate() {
+            let w = s * workers / shards;
+            slots.push((w, lanes[w].len() as u32));
+            let obs = shard_obs.next();
+            lanes[w].push(Lane { net, intra, obs });
+        }
+        let mut tracers = report.obs.workers.iter_mut();
+        let mut halves = vec![ServeCost::default(); workers];
         let mut cross_requests = 0u64;
-        let mut cross_half = ServeCost::default();
         let mut router_total = ServeCost::default();
+        let batch_sizes = &mut report.obs.batch_sizes;
+        let queue_depth = &mut report.obs.queue_depth;
+        let dispatcher = &mut report.obs.dispatcher;
+        // Records one batch handoff: batch size, the ops buffered across
+        // all workers (a queue-occupancy proxy), and a `BatchHandoff` span.
+        let mut handoff = |w: usize, len: usize, buffered: usize| {
+            if mode == ObsMode::Off {
+                return;
+            }
+            Histogram::record(batch_sizes, len as u64);
+            Histogram::record(queue_depth, buffered as u64);
+            let ts = span_ts(mode, origin);
+            Tracer::record_timed(
+                dispatcher,
+                EventKind::BatchHandoff,
+                w as u64,
+                len as u64,
+                ts,
+                0,
+            );
+        };
 
         std::thread::scope(|scope| {
             let mut senders = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for (w, nets) in worker_nets.into_iter().enumerate() {
+            for (w, (lanes, half)) in lanes.into_iter().zip(&mut halves).enumerate() {
                 let (tx, rx) = mpsc::sync_channel::<Vec<Op>>(QUEUE_DEPTH);
                 senders.push(tx);
-                handles.push(scope.spawn(move || {
-                    worker_loop(nets, rx, workers, w, shards, obs_mode, obs_events, origin)
-                }));
+                let tracer = tracers.next();
+                scope.spawn(move || {
+                    worker_loop(lanes, rx, w, mode, origin, tracer, half);
+                });
             }
 
             // Dispatch: walk the trace in order, route each request
@@ -943,29 +921,16 @@ impl<N: Network + Send> ShardedEngine<N> {
             // adjustment sequence is independent of the worker layout.
             let mut buffers: Vec<Vec<Op>> =
                 (0..workers).map(|_| Vec::with_capacity(batch)).collect();
-            let push = |buffers: &mut Vec<Vec<Op>>, obs: &mut ObsReport, op: Op| {
-                let w = op.shard as usize % workers;
-                buffers[w].push(op);
-                if buffers[w].len() == batch {
-                    let buffered: usize = buffers.iter().map(Vec::len).sum();
-                    record_handoff(obs, w, batch, buffered, origin);
-                    let full = std::mem::replace(&mut buffers[w], Vec::with_capacity(batch));
-                    // ksan-allow: panic-surface a closed queue means the scoped worker panicked; propagating is correct
-                    senders[w].send(full).expect("engine worker hung up");
-                }
-            };
             for &(u, v) in requests {
                 let routed = route_request(map, u, v, |s, a, b, half| {
-                    push(
-                        &mut buffers,
-                        &mut report.obs,
-                        Op {
-                            shard: s as u32,
-                            a,
-                            b,
-                            half,
-                        },
-                    );
+                    let (w, lane) = slots[s];
+                    buffers[w].push(Op { lane, a, b, half });
+                    if buffers[w].len() == batch {
+                        handoff(w, batch, buffers.iter().map(Vec::len).sum());
+                        let full = std::mem::replace(&mut buffers[w], Vec::with_capacity(batch));
+                        // ksan-allow: panic-surface a closed queue means the scoped worker panicked; propagating is correct
+                        senders[w].send(full).expect("engine worker hung up");
+                    }
                 });
                 if let Some((su, sv)) = routed {
                     cross_requests += 1;
@@ -977,133 +942,88 @@ impl<N: Network + Send> ShardedEngine<N> {
             }
             for (w, buf) in buffers.iter_mut().enumerate() {
                 if !buf.is_empty() {
-                    record_handoff(&mut report.obs, w, buf.len(), buf.len(), origin);
+                    handoff(w, buf.len(), buf.len());
                     let tail = std::mem::take(buf);
                     // ksan-allow: panic-surface a closed queue means the scoped worker panicked; propagating is correct
                     senders[w].send(tail).expect("engine worker hung up");
                 }
             }
-            drop(senders); // close the queues: workers drain and return
-
-            for (w, handle) in handles.into_iter().enumerate() {
-                // ksan-allow: panic-surface join fails only if the worker panicked; re-panicking propagates it
-                let (results, shard_obs, tracer) = handle.join().expect("engine worker panicked");
-                for (i, (net, intra, half)) in results.into_iter().enumerate() {
-                    let s = i * workers + w; // inverse of the s % workers layout
-                    parked[s] = Some(net);
-                    report.per_shard[s] = intra;
-                    add_cost(&mut cross_half, half);
-                }
-                for (i, so) in shard_obs.into_iter().enumerate() {
-                    let s = i * workers + w;
-                    report.obs.per_shard[s] = so;
-                }
-                if obs_mode != ObsMode::Off {
-                    report.obs.workers.push(tracer);
-                }
-            }
+            // Closing the queues lets the workers drain and finish; the
+            // scope joins them and re-raises any worker panic.
+            drop(senders);
         });
-
-        self.nets = parked
-            .into_iter()
-            // ksan-allow: panic-surface every worker that joined cleanly has repopulated its slots
-            .map(|slot| slot.expect("worker failed to return a shard net"))
-            .collect();
 
         // Assemble the cross-shard account: half-serve sums from the
         // workers, whole-request count and router charges from the
         // dispatcher. Field-wise associativity makes this equal to the
         // sequential path's per-request absorbs.
-        report.cross = Metrics {
+        report.router_hops += router_total.routing;
+        let mut c = router_total;
+        for h in halves {
+            add_cost(&mut c, h);
+        }
+        report.cross.merge(&Metrics {
             requests: cross_requests,
-            routing: cross_half.routing + router_total.routing,
-            rotations: cross_half.rotations + router_total.rotations,
-            links_changed: cross_half.links_changed + router_total.links_changed,
-            rebuild_patches: cross_half.rebuild_patches + router_total.rebuild_patches,
-            rebuild_patched_nodes: cross_half.rebuild_nodes + router_total.rebuild_nodes,
-        };
-        report.router_hops = router_total.routing;
-        report
+            routing: c.routing,
+            rotations: c.rotations,
+            links_changed: c.links_changed,
+            rebuild_patches: c.rebuild_patches,
+            rebuild_patched_nodes: c.rebuild_nodes,
+        });
     }
 }
 
-/// Drains one worker's queue: serves every op on the owned shard nets,
-/// accumulating intra-shard metrics per shard and a single cross-shard
-/// half-serve sum, then returns the nets (in local order) with their
-/// tallies, per-shard observability state, and the worker's own batch
-/// timeline. Observation happens inside the worker against the shard's
-/// FIFO op stream — the same stream the sequential path sees — which is
-/// what makes the deterministic histogram surfaces bit-identical to
+/// Drains one worker's queue: serves every op on the borrowed shard nets,
+/// observing into each shard's collector. Intra-shard metrics and the
+/// cross-shard half-serve sum are tallied locally and booked into the
+/// report once the queue closes, so workers do not write neighbouring
+/// report slots on every op. Observation happens inside the worker against the shard's FIFO op
+/// stream — the same stream the sequential path sees — which is what
+/// makes the deterministic histogram surfaces bit-identical to
 /// [`ShardedEngine::run_trace_seq`].
-#[allow(clippy::too_many_arguments)]
 fn worker_loop<N: Network>(
-    mut nets: Vec<N>,
+    mut lanes: Vec<Lane<'_, N>>,
     rx: mpsc::Receiver<Vec<Op>>,
-    workers: usize,
     w: usize,
-    shards: usize,
     mode: ObsMode,
-    events: usize,
     origin: Stopwatch,
-) -> (Vec<(N, Metrics, ServeCost)>, Vec<ShardObs>, Tracer) {
+    mut tracer: Option<&mut Tracer>,
+    half: &mut ServeCost,
+) {
     // ksan-allow: no-alloc per-run tally setup, once per worker thread before any request is served
-    let mut intra = vec![Metrics::default(); nets.len()];
-    // ksan-allow: no-alloc per-run tally setup, once per worker thread before any request is served
-    let mut half = vec![ServeCost::default(); nets.len()];
-    let mut obs: Vec<ShardObs> = Vec::new();
-    // ksan-allow: no-alloc zero-capacity placeholder ring; Vec::with_capacity(0) does not allocate
-    let mut tracer = Tracer::with_capacity(0, 0);
-    if mode != ObsMode::Off {
-        for i in 0..nets.len() {
-            let track = i * workers + w; // this slot's global shard id
-            let track = track as u32;
-            // ksan-allow: no-alloc per-run observability setup, once per worker thread before any request is served
-            obs.push(ShardObs::new(track, events));
-        }
-        let track = shards + 1 + w;
-        let track = track as u32;
-        // ksan-allow: no-alloc per-run observability setup, once per worker thread before any request is served
-        tracer = Tracer::with_capacity(track, events);
-    }
+    let mut intra = vec![Metrics::default(); lanes.len()];
+    let mut half_sum = ServeCost::default();
     while let Ok(ops) = rx.recv() {
-        if mode != ObsMode::Off {
-            let ts = if mode == ObsMode::WallClock {
-                origin.elapsed_us()
-            } else {
-                0
-            };
+        if let Some(tracer) = tracer.as_deref_mut() {
+            let ts = span_ts(mode, origin);
             let len = ops.len() as u64;
-            Tracer::record_timed(&mut tracer, EventKind::ShardDispatch, len, w as u64, ts, 0);
+            Tracer::record_timed(tracer, EventKind::ShardDispatch, len, w as u64, ts, 0);
         }
         for op in ops {
-            let i = op.shard as usize / workers;
-            let c = observed_serve(&mut nets[i], op.a, op.b, mode, obs.get_mut(i), origin);
+            let i = op.lane as usize;
+            let lane = &mut lanes[i];
+            let c = observed_serve(lane.net, op.a, op.b, mode, lane.obs.as_deref_mut(), origin);
             if op.half {
-                add_cost(&mut half[i], c);
+                add_cost(&mut half_sum, c);
             } else {
                 intra[i].absorb(c);
             }
         }
     }
-    let out = nets
-        .into_iter()
-        .zip(intra)
-        .zip(half)
-        .map(|((n, m), h)| (n, m, h))
-        // ksan-allow: no-alloc per-run teardown, once per worker thread after the queue closes
-        .collect();
-    (out, obs, tracer)
+    for (lane, m) in lanes.iter_mut().zip(&intra) {
+        lane.intra.merge(m);
+    }
+    *half = half_sum;
 }
 
 impl ShardedEngine<kst_core::KSplayNet> {
-    /// Convenience constructor: one balanced k-ary SplayNet per shard,
-    /// with the live-resharding surgery ops attached (inert until
-    /// [`ReshardConfig::enabled`]).
+    /// Convenience constructor: one balanced k-ary SplayNet per shard.
+    /// The net type is reshardable, so [`ReshardConfig::enabled`] works
+    /// on it out of the box.
     pub fn ksplay(k: usize, n: usize, cfg: EngineConfig) -> ShardedEngine<kst_core::KSplayNet> {
         ShardedEngine::new(n, cfg, |_, range| {
             kst_core::KSplayNet::balanced(k, range.len())
         })
-        .with_resharding()
     }
 }
 

@@ -58,7 +58,7 @@ pub mod shard;
 pub use engine::{
     EngineConfig, EngineReport, ReshardConfig, ReshardReport, ShardedEngine, SpineMode,
 };
-pub use obs::{ObsMode, ObsReport, ShardObs};
+pub use obs::{ObsMode, ObsReport};
 pub use shard::ShardMap;
 
 use kst_core::Network;

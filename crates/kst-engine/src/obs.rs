@@ -21,7 +21,7 @@
 
 use kst_core::{Network, NodeKey, ServeCost};
 use kst_obs::json::{histogram_json, trace_events_json};
-use kst_obs::{CostHistograms, EventKind, Histogram, Stopwatch, Tracer};
+use kst_obs::{CostHistograms, Histogram, Stopwatch, Tracer};
 use kst_sim::obs::ObsCollector;
 
 /// What the engine records while serving.
@@ -60,79 +60,42 @@ impl ObsMode {
     }
 }
 
-/// One shard's observability state: the simulator-level collector
-/// (cost + rebuild histograms, span ring) plus the engine-level
-/// rebuild-pause histogram.
-#[derive(Debug, Clone)]
-pub struct ShardObs {
-    /// Cost and rebuild-size histograms plus the span timeline, built
-    /// from the shard's deterministic operation sequence.
-    pub col: ObsCollector,
-    /// Wall-clock duration (µs) of each serve that applied a rebuild
-    /// patch — the pause the lazy nets trade for amortized cost. Only
-    /// populated under [`ObsMode::WallClock`]; excluded from equality.
-    pub rebuild_pause_us: Histogram,
-}
-
-impl ShardObs {
-    /// Fresh state whose tracer records on `track` and keeps the last
-    /// `events` spans.
-    pub fn new(track: u32, events: usize) -> ShardObs {
-        ShardObs {
-            col: ObsCollector::new(track, events),
-            rebuild_pause_us: Histogram::new(),
-        }
-    }
-
-    /// Records one local serve on the deterministic layer.
-    /// Allocation-free.
-    // Qualified calls throughout the observe path so kst-analyze's
-    // name-based call graph resolves them exactly.
-    pub fn observe(&mut self, a: NodeKey, b: NodeKey, c: ServeCost) {
-        ObsCollector::observe(&mut self.col, a, b, c);
-    }
-
-    /// Records one local serve with wall-clock fields; a serve that
-    /// applied rebuild patches also lands in the pause histogram.
-    /// Allocation-free.
-    pub fn observe_timed(&mut self, a: NodeKey, b: NodeKey, c: ServeCost, ts_us: u64, dur_us: u64) {
-        ObsCollector::observe_timed(&mut self.col, a, b, c, ts_us, dur_us);
-        if c.rebuild_patches > 0 {
-            Histogram::record(&mut self.rebuild_pause_us, dur_us);
-        }
-    }
-
-    /// Folds another shard state in (histogram monoid; tracer append).
-    pub fn merge(&mut self, other: &ShardObs) {
-        self.col.merge(&other.col);
-        self.rebuild_pause_us.merge(&other.rebuild_pause_us);
+/// A span timestamp under `mode`: µs since the run origin in wall-clock
+/// mode, 0 otherwise (the deterministic layer reads no clock).
+pub(crate) fn span_ts(mode: ObsMode, origin: Stopwatch) -> u64 {
+    if mode == ObsMode::WallClock {
+        origin.elapsed_us()
+    } else {
+        0
     }
 }
 
 /// Serves `(a, b)` on `net`, recording per the mode. The single observe
 /// point shared by the sequential path (`serve_one`) and the worker
-/// loop, so both produce the same deterministic streams. `so` is `None`
-/// when the report carries no state for this shard (mode off).
+/// loop, so both produce the same deterministic streams. `col` is
+/// `None` when the report carries no state for this shard (mode off).
+// Qualified calls so kst-analyze's name-based call graph resolves them
+// exactly.
 pub(crate) fn observed_serve<N: Network>(
     net: &mut N,
     a: NodeKey,
     b: NodeKey,
     mode: ObsMode,
-    so: Option<&mut ShardObs>,
+    col: Option<&mut ObsCollector>,
     origin: Stopwatch,
 ) -> ServeCost {
-    match (mode, so) {
+    match (mode, col) {
         (ObsMode::Off, _) | (_, None) => net.serve(a, b),
-        (ObsMode::Deterministic, Some(so)) => {
+        (ObsMode::Deterministic, Some(col)) => {
             let c = net.serve(a, b);
-            ShardObs::observe(so, a, b, c);
+            ObsCollector::observe(col, a, b, c);
             c
         }
-        (ObsMode::WallClock, Some(so)) => {
+        (ObsMode::WallClock, Some(col)) => {
             let ts = origin.elapsed_us();
             let c = net.serve(a, b);
             let dur = origin.elapsed_us().saturating_sub(ts);
-            ShardObs::observe_timed(so, a, b, c, ts, dur);
+            ObsCollector::observe_timed(col, a, b, c, ts, dur);
             c
         }
     }
@@ -148,9 +111,10 @@ pub(crate) fn observed_serve<N: Network>(
 pub struct ObsReport {
     /// The mode the run recorded under.
     pub mode: ObsMode,
-    /// Per-shard state, indexed by shard id. Empty when mode is
-    /// [`ObsMode::Off`].
-    pub per_shard: Vec<ShardObs>,
+    /// Per-shard collectors (cost, rebuild-size and rebuild-pause
+    /// histograms plus the span ring), indexed by shard id. Empty when
+    /// mode is [`ObsMode::Off`].
+    pub per_shard: Vec<ObsCollector>,
     /// Ops per dispatched batch (threaded runs only; topology-dependent,
     /// excluded from equality).
     pub batch_sizes: Histogram,
@@ -179,9 +143,9 @@ impl PartialEq for ObsReport {
         self.mode == other.mode
             && self.per_shard.len() == other.per_shard.len()
             && self.per_shard.iter().zip(&other.per_shard).all(|(a, b)| {
-                a.col.cost == b.col.cost
-                    && a.col.rebuild_nodes == b.col.rebuild_nodes
-                    && a.col.rebuild_patches == b.col.rebuild_patches
+                a.cost == b.cost
+                    && a.rebuild_nodes == b.rebuild_nodes
+                    && a.rebuild_patches == b.rebuild_patches
             })
             && self.moved_keys == other.moved_keys
             && self.imbalance == other.imbalance
@@ -215,7 +179,7 @@ impl ObsReport {
         ObsReport {
             mode,
             per_shard: (0..shards)
-                .map(|s| ShardObs::new(s as u32, events))
+                .map(|s| ObsCollector::new(s as u32, events))
                 .collect(),
             batch_sizes: Histogram::new(),
             queue_depth: Histogram::new(),
@@ -229,7 +193,7 @@ impl ObsReport {
     /// Requests observed across all shards (cross-shard requests count
     /// once per gateway half-serve, mirroring the per-shard streams).
     pub fn requests(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.col.requests()).sum()
+        self.per_shard.iter().map(|s| s.requests()).sum()
     }
 
     /// All shards' cost histograms merged (the distribution a sequential
@@ -237,7 +201,7 @@ impl ObsReport {
     pub fn cost_total(&self) -> CostHistograms {
         let mut acc = CostHistograms::new();
         for s in &self.per_shard {
-            acc.merge(&s.col.cost);
+            acc.merge(&s.cost);
         }
         acc
     }
@@ -246,7 +210,7 @@ impl ObsReport {
     pub fn rebuild_nodes_total(&self) -> Histogram {
         let mut acc = Histogram::new();
         for s in &self.per_shard {
-            acc.merge(&s.col.rebuild_nodes);
+            acc.merge(&s.rebuild_nodes);
         }
         acc
     }
@@ -255,7 +219,7 @@ impl ObsReport {
     pub fn rebuild_patches_total(&self) -> Histogram {
         let mut acc = Histogram::new();
         for s in &self.per_shard {
-            acc.merge(&s.col.rebuild_patches);
+            acc.merge(&s.rebuild_patches);
         }
         acc
     }
@@ -332,7 +296,7 @@ impl ObsReport {
             }
             out.push_str(&format!(
                 "{{\"shard\":{s},\"routing\":{},\"rebuild_pause_us\":{}}}",
-                histogram_json(&so.col.cost.routing),
+                histogram_json(&so.cost.routing),
                 histogram_json(&so.rebuild_pause_us)
             ));
         }
@@ -347,7 +311,7 @@ impl ObsReport {
         let mut tracers: Vec<&Tracer> = Vec::new();
         let mut labels: Vec<String> = Vec::new();
         for (s, so) in self.per_shard.iter().enumerate() {
-            tracers.push(&so.col.tracer);
+            tracers.push(&so.tracer);
             labels.push(format!("shard-{s}"));
         }
         tracers.push(&self.dispatcher);
@@ -361,38 +325,10 @@ impl ObsReport {
     }
 }
 
-/// Records one batch handoff on the dispatcher surfaces: batch size,
-/// queue-occupancy proxy, and a `BatchHandoff` span.
-pub(crate) fn record_handoff(
-    obs: &mut ObsReport,
-    worker: usize,
-    batch_len: usize,
-    buffered: usize,
-    origin: Stopwatch,
-) {
-    if obs.mode == ObsMode::Off {
-        return;
-    }
-    Histogram::record(&mut obs.batch_sizes, batch_len as u64);
-    Histogram::record(&mut obs.queue_depth, buffered as u64);
-    let ts = if obs.mode == ObsMode::WallClock {
-        origin.elapsed_us()
-    } else {
-        0
-    };
-    Tracer::record_timed(
-        &mut obs.dispatcher,
-        EventKind::BatchHandoff,
-        worker as u64,
-        batch_len as u64,
-        ts,
-        0,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kst_obs::EventKind;
 
     #[test]
     fn obs_mode_parses_env_spellings() {
@@ -415,7 +351,7 @@ mod tests {
         // Same deterministic stream, wildly different wall-clock fields.
         a.per_shard[0].observe_timed(1, 2, cost, 10, 5);
         b.per_shard[0].observe_timed(1, 2, cost, 99_000, 800);
-        record_handoff(&mut a, 0, 64, 64, Stopwatch::start());
+        Histogram::record(&mut a.batch_sizes, 64);
         assert_eq!(a, b);
         // ... but a diverging cost stream is detected.
         b.per_shard[1].observe(3, 4, cost);
@@ -457,7 +393,9 @@ mod tests {
             rebuild_nodes: 20,
         };
         r.per_shard[1].observe_timed(5, 6, cost, 120, 30);
-        record_handoff(&mut r, 1, 256, 300, Stopwatch::start());
+        Histogram::record(&mut r.batch_sizes, 256);
+        Histogram::record(&mut r.queue_depth, 300);
+        Tracer::record_timed(&mut r.dispatcher, EventKind::BatchHandoff, 1, 256, 0, 0);
         let js = r.to_json();
         assert!(js.starts_with("{\"mode\":\"wall\""));
         for key in [

@@ -13,7 +13,7 @@ use kst_obs::{CostHistograms, EventKind, Histogram, Tracer};
 use kst_workloads::Trace;
 
 /// Per-stream observability state: the four cost histograms, the
-/// rebuild-size histograms, and a span tracer.
+/// rebuild-size and rebuild-pause histograms, and a span tracer.
 ///
 /// The hot-path recorders ([`ObsCollector::observe`] /
 /// [`ObsCollector::observe_timed`]) are allocation-free (proved under
@@ -30,6 +30,11 @@ pub struct ObsCollector {
     pub rebuild_nodes: Histogram,
     /// Patches applied per (patching) rebuild.
     pub rebuild_patches: Histogram,
+    /// Wall-clock duration (µs) of each serve that applied a rebuild
+    /// patch — the pause the lazy nets trade for amortized cost. Only
+    /// [`ObsCollector::observe_timed`] records it, so it stays empty on
+    /// the deterministic layer.
+    pub rebuild_pause_us: Histogram,
     /// The span timeline (ring buffer; capacity fixed at construction).
     pub tracer: Tracer,
 }
@@ -42,6 +47,7 @@ impl ObsCollector {
             cost: CostHistograms::new(),
             rebuild_nodes: Histogram::new(),
             rebuild_patches: Histogram::new(),
+            rebuild_pause_us: Histogram::new(),
             tracer: Tracer::with_capacity(track, events),
         }
     }
@@ -49,17 +55,27 @@ impl ObsCollector {
     /// Records one served request on the deterministic layer (no
     /// wall-clock fields). Allocation-free.
     pub fn observe(&mut self, u: NodeKey, v: NodeKey, c: ServeCost) {
-        self.observe_timed(u, v, c, 0, 0);
+        ObsCollector::book(self, u, v, c, 0, 0);
     }
 
     /// Records one served request with caller-supplied wall-clock fields
     /// (the engine layer stamps these from its run-origin
-    /// [`kst_obs::Stopwatch`]; they never feed the histograms below —
-    /// only the trace). Allocation-free.
+    /// [`kst_obs::Stopwatch`]); a serve that applied rebuild patches also
+    /// lands its duration in [`ObsCollector::rebuild_pause_us`].
+    /// Allocation-free.
+    pub fn observe_timed(&mut self, u: NodeKey, v: NodeKey, c: ServeCost, ts_us: u64, dur_us: u64) {
+        ObsCollector::book(self, u, v, c, ts_us, dur_us);
+        if c.rebuild_patches > 0 {
+            Histogram::record(&mut self.rebuild_pause_us, dur_us);
+        }
+    }
+
+    /// The deterministic bookings shared by both recorders: the wall-clock
+    /// fields only reach the span timeline, never the histograms.
     // Qualified calls so kst-analyze's name-based call graph resolves
     // them exactly (`.record(...)` would alias the demand-ledger
     // recorders, which allocate by design).
-    pub fn observe_timed(&mut self, u: NodeKey, v: NodeKey, c: ServeCost, ts_us: u64, dur_us: u64) {
+    fn book(&mut self, u: NodeKey, v: NodeKey, c: ServeCost, ts_us: u64, dur_us: u64) {
         CostHistograms::record(&mut self.cost, c.routing, c.rotations, c.links_changed);
         Tracer::record_timed(
             &mut self.tracer,
@@ -111,6 +127,7 @@ impl ObsCollector {
         self.cost.merge(&other.cost);
         self.rebuild_nodes.merge(&other.rebuild_nodes);
         self.rebuild_patches.merge(&other.rebuild_patches);
+        self.rebuild_pause_us.merge(&other.rebuild_pause_us);
         self.tracer.merge(&other.tracer);
     }
 }

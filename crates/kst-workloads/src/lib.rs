@@ -26,4 +26,4 @@ pub mod trace;
 pub use decay::{DecayingDemand, DemandView, DirtyIndex};
 pub use demand::SparseDemand;
 pub use stats::{entropy_bound_rhs, stats, TraceStats};
-pub use trace::{partition_keyspace, DemandMatrix, KeyRange, NodeKey, ShardView, Trace};
+pub use trace::{partition_keyspace, DemandMatrix, KeyRange, NodeKey, Trace};

@@ -96,25 +96,6 @@ impl Trace {
         }
         parser.finish()
     }
-
-    /// A borrowing view of this trace's intra-shard traffic for one key
-    /// range (no request copying; see [`ShardView`]).
-    pub fn shard_view(&self, range: KeyRange) -> ShardView<'_> {
-        assert!(
-            range.lo >= 1 && range.hi as usize <= self.n && range.lo <= range.hi,
-            "shard range {range:?} outside keyspace 1..={}",
-            self.n
-        );
-        ShardView {
-            range,
-            reqs: &self.reqs,
-        }
-    }
-
-    /// One [`ShardView`] per range (typically from [`partition_keyspace`]).
-    pub fn shard_views(&self, ranges: &[KeyRange]) -> Vec<ShardView<'_>> {
-        ranges.iter().map(|&r| self.shard_view(r)).collect()
-    }
 }
 
 /// Incremental parser for the `# n=<n>` + `u,v` CSV trace format, shared
@@ -278,52 +259,6 @@ pub fn partition_keyspace(n: usize, shards: usize) -> Vec<KeyRange> {
         "partition_keyspace produced a non-partition for n={n} shards={shards}"
     );
     ranges
-}
-
-/// A zero-copy view of one shard's intra-shard traffic: borrows the
-/// trace's request slice and filters/remaps on the fly, so partitioning a
-/// 10⁶-request trace into S shards allocates nothing per request.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardView<'a> {
-    range: KeyRange,
-    reqs: &'a [(NodeKey, NodeKey)],
-}
-
-impl<'a> ShardView<'a> {
-    /// The key range this view covers.
-    pub fn range(&self) -> KeyRange {
-        self.range
-    }
-
-    /// Shard-local node count (the range length).
-    pub fn n(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Intra-shard requests in trace order, endpoints remapped to the
-    /// shard-local keyspace `1..=n()`.
-    pub fn local_requests(&self) -> impl Iterator<Item = (NodeKey, NodeKey)> + 'a {
-        let range = self.range;
-        self.reqs
-            .iter()
-            .filter(move |&&(u, v)| range.contains(u) && range.contains(v))
-            .map(move |&(u, v)| (range.to_local(u), range.to_local(v)))
-    }
-
-    /// Number of intra-shard requests (one filtering pass, no allocation).
-    pub fn count(&self) -> usize {
-        let range = self.range;
-        self.reqs
-            .iter()
-            .filter(|&&(u, v)| range.contains(u) && range.contains(v))
-            .count()
-    }
-
-    /// Materializes the view as a standalone shard-local [`Trace`] (the
-    /// only copying entry point; tests use it to build reference nets).
-    pub fn to_trace(&self) -> Trace {
-        Trace::new(self.n(), self.local_requests().collect())
-    }
 }
 
 /// The n×n demand matrix D of the offline problem: `D[u][v]` counts
@@ -606,22 +541,6 @@ mod tests {
             assert!((1..=10).contains(&local));
             assert_eq!(r.to_global(local), key);
         }
-    }
-
-    #[test]
-    fn shard_views_partition_intra_shard_traffic_without_copying() {
-        let t = Trace::new(10, vec![(1, 5), (6, 10), (2, 9), (3, 4), (7, 6)]);
-        let ranges = partition_keyspace(10, 2);
-        let views = t.shard_views(&ranges);
-        // (2,9) is cross-shard and belongs to neither view.
-        let lo: Vec<_> = views[0].local_requests().collect();
-        let hi: Vec<_> = views[1].local_requests().collect();
-        assert_eq!(lo, vec![(1, 5), (3, 4)]);
-        assert_eq!(hi, vec![(1, 5), (2, 1)]);
-        assert_eq!(views[0].count() + views[1].count(), 4);
-        let sub = views[1].to_trace();
-        assert_eq!(sub.n(), 5);
-        assert_eq!(sub.requests(), &[(1, 5), (2, 1)]);
     }
 
     #[cfg(feature = "trace-files")]

@@ -109,14 +109,16 @@ fn multi_shard_intra_traffic_matches_standalone_nets_move_for_move() {
     assert_eq!(report.cross.requests, 0, "workload must stay intra-shard");
 
     // Standalone nets over each shard's keyspace, serving the shard's
-    // zero-copy view of the trace.
+    // intra-shard requests remapped to its local keys.
     let ranges = partition_keyspace(n, shards);
     let mut merged = Metrics::default();
-    for (s, view) in trace.shard_views(&ranges).iter().enumerate() {
-        let mut standalone = KSplayNet::balanced(3, view.n());
+    for (s, range) in ranges.iter().enumerate() {
+        let mut standalone = KSplayNet::balanced(3, range.len());
         let mut m = Metrics::default();
-        for (u, v) in view.local_requests() {
-            m.absorb(standalone.serve(u, v));
+        for &(u, v) in trace.requests() {
+            if range.contains(u) && range.contains(v) {
+                m.absorb(standalone.serve(range.to_local(u), range.to_local(v)));
+            }
         }
         assert_eq!(
             report.per_shard[s], m,
@@ -322,12 +324,9 @@ fn one_shard_observed_engine_matches_run_observed() {
     let mut obs = ObsCollector::new(0, 128);
     let m = run_observed(&mut net, &trace, &mut obs);
     assert_eq!(report.per_shard[0], m);
-    assert_eq!(report.obs.per_shard[0].col.cost, obs.cost);
-    assert_eq!(report.obs.per_shard[0].col.rebuild_nodes, obs.rebuild_nodes);
-    assert_eq!(
-        report.obs.per_shard[0].col.rebuild_patches,
-        obs.rebuild_patches
-    );
+    assert_eq!(report.obs.per_shard[0].cost, obs.cost);
+    assert_eq!(report.obs.per_shard[0].rebuild_nodes, obs.rebuild_nodes);
+    assert_eq!(report.obs.per_shard[0].rebuild_patches, obs.rebuild_patches);
     assert_eq!(report.obs.cost_total(), obs.cost);
 }
 
