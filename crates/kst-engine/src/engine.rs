@@ -862,19 +862,13 @@ impl<N: Network + Send> ShardedEngine<N> {
             }
         }
 
-        // Lend each shard to its worker in contiguous blocks (shard s →
-        // worker s * workers / shards): serving writes to the net structs,
-        // and blocks keep each worker's nets together in `self.nets`, so
-        // only the nets at block edges neighbour another worker's.
-        // `slots[s]` is shard s's worker and its lane index there.
+        // Lend shard s to worker s % workers, ascending, so the worker
+        // finds it at lane index s / workers.
         let mut lanes: Vec<Vec<Lane<'_, N>>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut slots = Vec::with_capacity(shards);
         let mut shard_obs = report.obs.per_shard.iter_mut();
         for (s, (net, intra)) in self.nets.iter_mut().zip(&mut report.per_shard).enumerate() {
-            let w = s * workers / shards;
-            slots.push((w, lanes[w].len() as u32));
             let obs = shard_obs.next();
-            lanes[w].push(Lane { net, intra, obs });
+            lanes[s % workers].push(Lane { net, intra, obs });
         }
         let mut tracers = report.obs.workers.iter_mut();
         let mut halves = vec![ServeCost::default(); workers];
@@ -923,7 +917,7 @@ impl<N: Network + Send> ShardedEngine<N> {
                 (0..workers).map(|_| Vec::with_capacity(batch)).collect();
             for &(u, v) in requests {
                 let routed = route_request(map, u, v, |s, a, b, half| {
-                    let (w, lane) = slots[s];
+                    let (w, lane) = (s % workers, (s / workers) as u32);
                     buffers[w].push(Op { lane, a, b, half });
                     if buffers[w].len() == batch {
                         handoff(w, batch, buffers.iter().map(Vec::len).sum());

@@ -351,7 +351,11 @@ mod tests {
         // Same deterministic stream, wildly different wall-clock fields.
         a.per_shard[0].observe_timed(1, 2, cost, 10, 5);
         b.per_shard[0].observe_timed(1, 2, cost, 99_000, 800);
+        // Dispatcher surfaces (batch sizes, queue depth, handoff spans)
+        // are left out of equality too.
         Histogram::record(&mut a.batch_sizes, 64);
+        Histogram::record(&mut a.queue_depth, 64);
+        Tracer::record_timed(&mut a.dispatcher, EventKind::BatchHandoff, 0, 64, 12_345, 0);
         assert_eq!(a, b);
         // ... but a diverging cost stream is detected.
         b.per_shard[1].observe(3, 4, cost);
