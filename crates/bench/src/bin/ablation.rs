@@ -14,17 +14,14 @@
 
 #![forbid(unsafe_code)]
 
-use kst_bench::write_report;
+use kst_bench::{env_usize, write_report};
 use kst_core::{KSplayNet, SplayStrategy, WindowPolicy};
 use kst_sim::run;
 use kst_sim::table::Table;
 use kst_workloads::gens;
 
 fn main() {
-    let m: usize = std::env::var("KSAN_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
+    let m = env_usize("KSAN_REQUESTS", 200_000);
     let n = 512;
     let k = 4;
     let workloads = vec![

@@ -5,17 +5,14 @@
 
 #![forbid(unsafe_code)]
 
-use kst_bench::write_report;
+use kst_bench::{env_usize, write_report};
 use kst_core::KSplayNet;
 use kst_sim::run;
 use kst_sim::table::Table;
 use kst_workloads::{entropy_bound_rhs, gens};
 
 fn main() {
-    let m: usize = std::env::var("KSAN_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
+    let m = env_usize("KSAN_REQUESTS", 200_000);
     let mut tab = Table::new(&["workload", "k", "total cost", "entropy bound", "ratio"]);
     let workloads: Vec<(&str, kst_workloads::Trace)> = vec![
         ("zipf α=1.2 (n=512)", gens::zipf(512, m, 1.2, 1)),

@@ -16,9 +16,7 @@ fn main() {
     std::fs::create_dir_all(&out_dir).expect("create output directory");
     let mut scale = Scale::from_env();
     // exports default to a manageable size
-    if std::env::var("KSAN_REQUESTS").is_err() {
-        scale.requests = 100_000;
-    }
+    scale.requests = kst_bench::env_usize("KSAN_REQUESTS", 100_000);
     for name in WORKLOADS {
         let trace = workload(name, &scale);
         let st = stats::stats(&trace);

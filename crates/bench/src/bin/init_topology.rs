@@ -20,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 
-use kst_bench::write_report;
+use kst_bench::{env_usize, write_report};
 use kst_core::shape::ShapeTree;
 use kst_core::{KSplayNet, KstTree};
 use kst_sim::run;
@@ -43,10 +43,7 @@ fn path_shape(n: usize) -> ShapeTree {
 }
 
 fn main() {
-    let m: usize = std::env::var("KSAN_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
+    let m = env_usize("KSAN_REQUESTS", 200_000);
     let n = 512;
     let mut tab = Table::new(&[
         "k",

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use kst_bench::write_report;
+use kst_bench::{env_usize, write_report};
 use kst_core::{KSplayNet, LazyKaryNet};
 use kst_sim::experiments::{
     centroid_rebuilder, incremental_weight_balanced_rebuilder, optimal_rebuilder,
@@ -19,10 +19,7 @@ use kst_statics::full_kary;
 use kst_workloads::gens;
 
 fn main() {
-    let m: usize = std::env::var("KSAN_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
+    let m = env_usize("KSAN_REQUESTS", 200_000);
     let n = 200;
     let k = 3;
     let mut tab = Table::new(&[

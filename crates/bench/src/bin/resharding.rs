@@ -10,7 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use kst_bench::write_report;
+use kst_bench::{env_usize, write_report};
 use kst_engine::{EngineConfig, EngineReport, ReshardConfig, ShardedEngine, SpineMode};
 use kst_sim::table::Table;
 use kst_workloads::{gens, Trace};
@@ -22,14 +22,8 @@ fn run(n: usize, trace: &Trace, cfg: EngineConfig) -> EngineReport {
 }
 
 fn main() {
-    let m: usize = std::env::var("KSAN_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
-    let threads: usize = std::env::var("KSAN_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let m = env_usize("KSAN_REQUESTS", 200_000);
+    let threads = env_usize("KSAN_THREADS", 4);
     let n = 2048;
     let shards = 8;
     let mut rc = ReshardConfig::on();

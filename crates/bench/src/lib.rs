@@ -25,6 +25,15 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// A `usize` knob read from environment variable `name`; `default` when
+/// it is unset or does not parse.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// The note a threading bench prints after a speedup it measured with
 /// `threads` threads on a host with `cores` cores: one core cannot run
 /// threads in parallel at all; otherwise the ratio is capped at

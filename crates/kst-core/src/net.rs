@@ -7,6 +7,13 @@
 //! (routing cost), plus the reconfiguration performed afterwards
 //! (adjustment cost, reported both as rotation count — the paper's unit in
 //! Section 5 — and as physical links changed).
+//!
+//! [`ServeCost`] is the one per-operation cost record: every layer below
+//! [`Network::serve`] (a restructure, a splay walk, a subtree patch, a
+//! rebuild plan, a resharding splice) returns it with `routing: 0`, and
+//! callers sum the layers with `+=`.
+
+use std::ops::AddAssign;
 
 use crate::key::NodeKey;
 use crate::reshard::Reshardable;
@@ -16,7 +23,10 @@ use crate::reshard::Reshardable;
 pub struct ServeCost {
     /// Path length between the endpoints in the topology before adjustment.
     pub routing: u64,
-    /// Rotations performed while adjusting (0 for static topologies).
+    /// Rotations performed while adjusting (0 for static topologies): a
+    /// d-node restructure counts `d − 1`, so a k-semi-splay counts 1 (≙
+    /// zig) and a k-splay 2 (≙ zig-zig/zig-zag) — the unit-cost rotations
+    /// of Section 5, in the same units as classic splay-tree counts.
     pub rotations: u64,
     /// Physical links added + removed while adjusting.
     pub links_changed: u64,
@@ -33,6 +43,16 @@ impl ServeCost {
     /// rotation costs both one).
     pub fn total_unit(&self) -> u64 {
         self.routing + self.rotations
+    }
+}
+
+impl AddAssign for ServeCost {
+    fn add_assign(&mut self, c: ServeCost) {
+        self.routing += c.routing;
+        self.rotations += c.rotations;
+        self.links_changed += c.links_changed;
+        self.rebuild_patches += c.rebuild_patches;
+        self.rebuild_nodes += c.rebuild_nodes;
     }
 }
 

@@ -28,6 +28,7 @@
 //! `splaynet-classic` verify. `Leftmost`/`Rightmost` are ablation variants.
 
 use crate::key::{key_image, NodeIdx, RoutingKey, NIL};
+use crate::net::ServeCost;
 use crate::tree::KstTree;
 
 /// Policy choosing a window position when several cover the key's gap.
@@ -43,23 +44,12 @@ pub enum WindowPolicy {
     Rightmost,
 }
 
-/// Cost bookkeeping for one restructure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RestructureStats {
-    /// Links added plus links removed by this operation (the model's
-    /// adjustment cost in edges, Section 2).
-    pub links_changed: u64,
-    /// Elementary rotations: `d − 1` for a d-node restructure, so a
-    /// k-semi-splay counts 1 (≙ zig) and a k-splay counts 2 (≙
-    /// zig-zig/zig-zag) — directly comparable with classic splay-tree
-    /// rotation counts, which the k = 2 differential test relies on.
-    pub rotations: u64,
-}
-
 impl KstTree {
     /// Generalized k-splay on a downward path (`path[i+1]` must be a child
     /// of `path[i]`, `path.len() >= 2`). After the call `path.last()`
-    /// occupies the old position of `path\[0\]`.
+    /// occupies the old position of `path\[0\]`. Returns the adjustment
+    /// cost (`routing: 0`): `d − 1` rotations and the links added plus
+    /// removed.
     ///
     /// Hot-path implementation notes: the merged super-node is assembled in
     /// a **single pass** (one descent copying prefixes, one ascent copying
@@ -70,7 +60,7 @@ impl KstTree {
     /// computed once on the merged array and then maintained incrementally
     /// as each re-form step consumes its window, instead of being
     /// re-searched from scratch per step.
-    pub fn restructure(&mut self, path: &[NodeIdx], policy: WindowPolicy) -> RestructureStats {
+    pub fn restructure(&mut self, path: &[NodeIdx], policy: WindowPolicy) -> ServeCost {
         let d = path.len();
         assert!(d >= 2, "restructure needs at least two nodes");
         let k = self.k();
@@ -232,21 +222,22 @@ impl KstTree {
         self.scratch_origin = origin;
         self.scratch_pos = pos;
         self.scratch_gaps = gaps;
-        RestructureStats {
+        ServeCost {
             links_changed: 2 * (affected - matches),
             rotations: (d - 1) as u64,
+            ..ServeCost::default()
         }
     }
 
     /// k-semi-splay (Fig. 3): promote `child` over its parent.
-    pub fn k_semi_splay(&mut self, child: NodeIdx, policy: WindowPolicy) -> RestructureStats {
+    pub fn k_semi_splay(&mut self, child: NodeIdx, policy: WindowPolicy) -> ServeCost {
         let p = self.parent(child);
         assert!(p != NIL, "cannot semi-splay the root");
         self.restructure(&[p, child], policy)
     }
 
     /// k-splay (Figs. 4–6): promote `node` over its parent and grandparent.
-    pub fn k_splay(&mut self, node: NodeIdx, policy: WindowPolicy) -> RestructureStats {
+    pub fn k_splay(&mut self, node: NodeIdx, policy: WindowPolicy) -> ServeCost {
         let p = self.parent(node);
         assert!(p != NIL, "node has no parent");
         let g = self.parent(p);

@@ -4,7 +4,8 @@
 //! argument Theorem 12 transfers to the k-ary rotations.
 
 use crate::key::{NodeIdx, NIL};
-use crate::restructure::{RestructureStats, WindowPolicy};
+use crate::net::ServeCost;
+use crate::restructure::WindowPolicy;
 use crate::tree::KstTree;
 
 /// How a node is moved toward its target position.
@@ -37,40 +38,23 @@ impl SplayStrategy {
     }
 }
 
-/// Aggregate cost of a splay walk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SplayStats {
-    /// Elementary rotations performed (a k-semi-splay counts 1, a k-splay
-    /// counts 2 — the unit-cost rotations of Section 5, in the same units
-    /// as classic splay-tree rotation counts).
-    pub rotations: u64,
-    /// Total physical links changed.
-    pub links_changed: u64,
-}
-
-impl SplayStats {
-    fn add(&mut self, r: RestructureStats) {
-        self.rotations += r.rotations;
-        self.links_changed += r.links_changed;
-    }
-}
-
 impl KstTree {
     /// Splays `z` upward until its parent is `boundary` (`NIL` splays to the
     /// root). All restructures happen strictly below `boundary`, which is
     /// never moved. Panics if `boundary` is not an ancestor of `z`.
     ///
     /// Path extraction reuses the tree's scratch path arena, so repeated
-    /// splay steps — and repeated serves — allocate nothing.
+    /// splay steps — and repeated serves — allocate nothing. Returns the
+    /// summed adjustment cost of the steps (`routing: 0`).
     pub fn splay_until(
         &mut self,
         z: NodeIdx,
         boundary: NodeIdx,
         strategy: SplayStrategy,
         policy: WindowPolicy,
-    ) -> SplayStats {
+    ) -> ServeCost {
         let span = strategy.span();
-        let mut stats = SplayStats::default();
+        let mut cost = ServeCost::default();
         let mut path = std::mem::take(&mut self.scratch_path);
         loop {
             let p = self.parent(z);
@@ -92,10 +76,38 @@ impl KstTree {
                 path.push(q);
             }
             path.reverse();
-            stats.add(self.restructure(&path, policy));
+            cost += self.restructure(&path, policy);
         }
         self.scratch_path = path;
-        stats
+        cost
+    }
+
+    /// The SplayNet adjustment for request `(nu, nv)` whose lowest common
+    /// ancestor is `w`: if `u` is the ancestor, splay `v` up to be its
+    /// child; if `v` is, splay `u` under `v`; otherwise splay `u` into
+    /// `w`'s position (up to `parent(w)`), then `v` — which stayed inside
+    /// the subtree now rooted at `u` — up to be `u`'s child. The endpoints
+    /// are adjacent afterwards. Returns the adjustment cost (`routing: 0`).
+    pub fn splay_pair(
+        &mut self,
+        nu: NodeIdx,
+        nv: NodeIdx,
+        w: NodeIdx,
+        strategy: SplayStrategy,
+        policy: WindowPolicy,
+    ) -> ServeCost {
+        let cost = if w == nu {
+            self.splay_until(nv, nu, strategy, policy)
+        } else if w == nv {
+            self.splay_until(nu, nv, strategy, policy)
+        } else {
+            let boundary = self.parent(w);
+            let mut cost = self.splay_until(nu, boundary, strategy, policy);
+            cost += self.splay_until(nv, nu, strategy, policy);
+            cost
+        };
+        debug_assert_eq!(self.distance(nu, nv), 1);
+        cost
     }
 }
 

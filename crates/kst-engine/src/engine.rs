@@ -69,6 +69,7 @@ use crate::obs::{observed_serve, span_ts, ObsMode, ObsReport};
 use crate::shard::ShardMap;
 use kst_core::{KSplayNet, Network, ServeCost};
 use kst_obs::{EventKind, Histogram, Stopwatch, Tracer};
+use kst_sim::par::par_map;
 use kst_sim::{Metrics, ObsCollector};
 use kst_workloads::{DecayingDemand, KeyRange, NodeKey, Trace};
 use std::sync::mpsc;
@@ -420,14 +421,6 @@ struct Op {
     half: bool,
 }
 
-fn add_cost(acc: &mut ServeCost, c: ServeCost) {
-    acc.routing += c.routing;
-    acc.rotations += c.rotations;
-    acc.links_changed += c.links_changed;
-    acc.rebuild_patches += c.rebuild_patches;
-    acc.rebuild_nodes += c.rebuild_nodes;
-}
-
 /// Routes one request through the shard map — the single decomposition
 /// point shared by the sequential serve path and the threaded
 /// dispatcher, so the [`ShardMap`] lookup and the gateway half-serve
@@ -524,8 +517,8 @@ impl<N: Network> ShardedEngine<N> {
     /// [`EngineConfig::build_threads`]` = 1` shards are built sequentially
     /// in shard order, so at most **one** shard's construction transients
     /// exist at a time (the historical "never coexist" guarantee). With
-    /// `build_threads = T > 1` shards are built on `T` scoped worker
-    /// threads and up to `T` construction transients overlap — bounded
+    /// `build_threads = T > 1` shards are built by [`par_map`] on `T`
+    /// worker threads and up to `T` construction transients overlap — bounded
     /// overlap replaces "never coexist", trading a T-bounded transient-RSS
     /// bump for a near-linear construction speedup. Shards are
     /// independent, so the built engine is bit-identical either way.
@@ -551,33 +544,7 @@ impl<N: Network> ShardedEngine<N> {
             );
             net
         };
-        let workers = cfg.build_threads.clamp(1, shards);
-        let nets: Vec<N> = if workers <= 1 {
-            (0..shards).map(build).collect()
-        } else {
-            // Static round-robin assignment: worker `w` builds shards
-            // `w, w + T, w + 2T, …`. Shard sizes differ by at most one
-            // key, so stealing buys nothing, and each worker holding one
-            // in-flight build caps transient overlap at `workers`.
-            std::thread::scope(|scope| {
-                let build = &build;
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mine = (w..shards).step_by(workers);
-                            mine.map(|s| (s, build(s))).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                let mut built = Vec::with_capacity(shards);
-                for h in handles {
-                    // ksan-allow: panic-surface a worker panic is a factory bug; re-raising it here preserves the factory's own diagnostic
-                    built.extend(h.join().expect("shard build worker panicked"));
-                }
-                built.sort_unstable_by_key(|&(s, _)| s);
-                built.into_iter().map(|(_, net)| net).collect()
-            })
-        };
+        let nets = par_map((0..shards).collect(), cfg.build_threads, build);
         let spine = match cfg.spine {
             SpineMode::KSplay { k } if map.shards() >= 2 => {
                 Some(KSplayNet::balanced(k.max(2), map.shards()))
@@ -630,7 +597,7 @@ impl<N: Network> ShardedEngine<N> {
         let origin = self.origin;
         let routed = route_request(&self.map, u, v, |s, a, b, half| {
             let cost = observed_serve(&mut nets[s], a, b, mode, obs.per_shard.get_mut(s), origin);
-            add_cost(&mut c, cost);
+            c += cost;
             if !half {
                 intra_shard = s;
             }
@@ -642,7 +609,7 @@ impl<N: Network> ShardedEngine<N> {
             Some((su, sv)) => {
                 let rc = router_serve(self.spine.as_mut(), self.cfg.router_hops, su, sv);
                 report.router_hops += rc.routing;
-                add_cost(&mut c, rc);
+                c += rc;
                 report.cross.absorb(c);
             }
         }
@@ -928,10 +895,7 @@ impl<N: Network + Send> ShardedEngine<N> {
                 });
                 if let Some((su, sv)) = routed {
                     cross_requests += 1;
-                    add_cost(
-                        &mut router_total,
-                        router_serve(spine.as_mut(), router_hops, su, sv),
-                    );
+                    router_total += router_serve(spine.as_mut(), router_hops, su, sv);
                 }
             }
             for (w, buf) in buffers.iter_mut().enumerate() {
@@ -954,16 +918,11 @@ impl<N: Network + Send> ShardedEngine<N> {
         report.router_hops += router_total.routing;
         let mut c = router_total;
         for h in halves {
-            add_cost(&mut c, h);
+            c += h;
         }
-        report.cross.merge(&Metrics {
-            requests: cross_requests,
-            routing: c.routing,
-            rotations: c.rotations,
-            links_changed: c.links_changed,
-            rebuild_patches: c.rebuild_patches,
-            rebuild_patched_nodes: c.rebuild_nodes,
-        });
+        let mut cross = Metrics::from_cost(c);
+        cross.requests = cross_requests;
+        report.cross.merge(&cross);
     }
 }
 
@@ -998,7 +957,7 @@ fn worker_loop<N: Network>(
             let lane = &mut lanes[i];
             let c = observed_serve(lane.net, op.a, op.b, mode, lane.obs.as_deref_mut(), origin);
             if op.half {
-                add_cost(&mut half_sum, c);
+                half_sum += c;
             } else {
                 intra[i].absorb(c);
             }

@@ -329,7 +329,7 @@ fn patch_subtree_on_rotated_trees_keeps_invariants() {
             let hot = vec![(1 + (size as u32 / 2), 1_000u64)];
             let frag = ShapeTree::weight_balanced(size, k, &hot);
             let stats = tree.patch_subtree(lo, hi, &frag);
-            assert_eq!(stats.nodes, size as u64);
+            assert_eq!(stats.rebuild_nodes, size as u64);
             ksan::core::invariants::validate(&tree)
                 .unwrap_or_else(|e| panic!("k={k} patch [{lo},{hi}]: {e}"));
             patched += 1;
