@@ -19,7 +19,9 @@
 //!
 //! A pre-pass prints the measured speedup and **asserts it is ≥ 5×** (the
 //! acceptance bar for the incremental-rebuild work; measured far higher),
-//! so the CI bench smoke fails if patch locality ever regresses.
+//! so the CI bench smoke fails if patch locality ever regresses. It also
+//! prints the full rebuild's split into plan (view + planning) and apply
+//! (patch materialization), in ns per re-formed node.
 
 use criterion::{criterion_group, Criterion, Throughput};
 use kst_core::lazy::{incremental_weight_balanced_rebuilder, weight_balanced_rebuilder};
@@ -120,6 +122,18 @@ fn bench_rebuilds(c: &mut Criterion) {
     group.finish();
 }
 
+/// One full rebuild trigger split into its two phases: (plan seconds —
+/// view and planning —, apply seconds, nodes re-formed).
+fn full_split(tree: &mut KstTree, demand: &DecayingDemand) -> (f64, f64, u64) {
+    let mut policy = weight_balanced_rebuilder(K);
+    let start = Instant::now();
+    let plan = policy.plan(tree, &demand.view());
+    let plan_s = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let nodes = plan.apply_to(tree).rebuild_nodes;
+    (plan_s, start.elapsed().as_secs_f64(), nodes)
+}
+
 /// Pre-pass: assert the incremental path re-forms a small fraction of the
 /// tree and is ≥ 5× faster than a full rebuild on this < 1 %-churn
 /// profile (a trip fails the whole bench run, which CI relies on).
@@ -156,6 +170,19 @@ fn assert_incremental_speedup() {
          {:.1} ms — {speedup:.1}x speedup",
         incr_s * 1e3,
         full_s * 1e3
+    );
+    // Full-rebuild split, best of 3 per phase.
+    let (mut plan_s, mut apply_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let (p, a, nodes) = full_split(&mut tree, &demand);
+        assert_eq!(nodes, N as u64);
+        plan_s = plan_s.min(p);
+        apply_s = apply_s.min(a);
+    }
+    println!(
+        "full rebuild split: plan {:.1} ns/node, apply {:.1} ns/node",
+        plan_s * 1e9 / N as f64,
+        apply_s * 1e9 / N as f64
     );
     assert!(
         speedup >= 5.0,

@@ -14,14 +14,16 @@
 //! ledger it produces a [`RebuildPlan`] — a set of disjoint
 //! [`SubtreePatch`]es, each replacing the subtree over one key range with
 //! a fresh shape fragment. Applying the plan re-forms **only** the patched
-//! ranges ([`KstTree::patch_subtree`]), with exact `links_changed`
-//! accounting via [`sym_diff`]. A whole-tree shape is the degenerate
-//! single-patch plan ([`RebuildPlan::full`]), so classic full rebuilders —
-//! any `FnMut(&DemandView) -> ShapeTree` wrapped in [`FullRebuild`] — keep
-//! working unchanged, while [`IncrementalWeightBalanced`] patches only the
-//! subtrees whose observed demand drifted, cutting rebuild cost from O(n)
-//! per trigger to O(touched) on stable workloads (the local-adjustment
-//! regime of *Push-Down Trees*).
+//! ranges ([`KstTree::patch_subtree`]) in one pass over the patched
+//! nodes, with exact `links_changed` accounting from a snapshot of the
+//! range's parent pointers (no edge lists, no sorting). A whole-tree
+//! shape is the degenerate single-patch plan ([`RebuildPlan::full`]), so
+//! classic full rebuilders — any `FnMut(&DemandView) -> ShapeTree`
+//! wrapped in [`FullRebuild`] — keep working unchanged, while
+//! [`IncrementalWeightBalanced`] patches only the subtrees whose observed
+//! demand drifted, cutting rebuild cost from O(n) per trigger to
+//! O(touched) on stable workloads (the local-adjustment regime of
+//! *Push-Down Trees*).
 //!
 //! # Demand ledger: EWMA across epochs
 //!
@@ -460,8 +462,8 @@ impl<R: Rebuild> Network for LazyKaryNet<R> {
 
 /// Size of the symmetric difference of two **sorted, duplicate-free**
 /// edge lists — the number of links that differ between two topologies
-/// (the exact adjustment-cost accounting shared by `patch_subtree` and the
-/// link-accounting differential tests).
+/// (the exact adjustment-cost accounting of the complete-tree baselines
+/// and the link-accounting tests).
 pub fn sym_diff(a: &[(NodeIdx, NodeIdx)], b: &[(NodeIdx, NodeIdx)]) -> u64 {
     let (mut i, mut j, mut d) = (0, 0, 0u64);
     while i < a.len() && j < b.len() {

@@ -70,12 +70,13 @@ impl ShapeTree {
     /// Hot keys therefore sit near the root (weighted depth is
     /// logarithmic in total weight), while regions with **no** observed
     /// demand degrade to the complete balanced subtree — with an empty
-    /// `hot` the result is exactly [`ShapeTree::balanced_kary`]. Split
-    /// decisions cost O(log) binary searches over the hot prefix sums and
-    /// are only paid on ranges containing hot keys, so a rebuild is
-    /// O(n) shape materialization plus O(touched · log) decision work —
-    /// no O(n³)-ish DP, which is what makes lazy rebuilds viable at
-    /// 10⁶–10⁷ nodes.
+    /// `hot` the result is exactly [`ShapeTree::balanced_kary`]. Every
+    /// range carries the slice of `hot` that lies inside it, so the
+    /// hot-range test is O(1) and split decisions are O(log) binary
+    /// searches over that slice only, paid only on ranges containing hot
+    /// keys: a rebuild is O(n) shape materialization plus
+    /// O(touched · log slice) decision work — no O(n³)-ish DP, which is
+    /// what makes lazy rebuilds viable at 10⁶–10⁷ nodes.
     ///
     /// Fully deterministic: same `n`, `k`, `hot` → same shape.
     pub fn weight_balanced(n: usize, k: usize, hot: &[(NodeKey, u64)]) -> ShapeTree {
@@ -99,28 +100,43 @@ impl ShapeTree {
         if n == 0 {
             return shape;
         }
-        let wb = WeightIndex::new(hot);
+        // `pre[i]` = sum of the first `i` hot frequencies, shared by every
+        // range-local index below.
+        let mut pre = Vec::with_capacity(hot.len() + 1);
+        let mut acc = 0u64;
+        pre.push(0);
+        for &(_, w) in hot {
+            acc += w;
+            pre.push(acc);
+        }
 
         // Explicit work stack (DFS preorder): a pathological weight profile
         // must not be able to overflow the call stack at 10⁶ nodes. Jobs
         // pop in left-to-right order, so appending each new node to its
-        // parent's child list as it pops preserves child order.
+        // parent's child list as it pops preserves child order. Each job
+        // carries `hot[hlo..hhi]`, the hot keys inside its range `[a, b]`.
         const NO_PARENT: u32 = u32::MAX;
-        let mut stack: Vec<(NodeKey, NodeKey, u32)> = vec![(1, n as NodeKey, NO_PARENT)];
+        let mut stack: Vec<(NodeKey, NodeKey, u32, usize, usize)> =
+            vec![(1, n as NodeKey, NO_PARENT, 0, hot.len())];
         let mut ranges: Vec<(NodeKey, NodeKey)> = Vec::with_capacity(2 * k);
-        while let Some((a, b, parent)) = stack.pop() {
-            let id = if wb.hot_weight(a, b) == 0 {
+        while let Some((a, b, parent, hlo, hhi)) = stack.pop() {
+            let id = if pre[hhi] == pre[hlo] {
                 // Cold range: no observed demand — fall back to the
                 // complete balanced subtree (O(size), no searches).
                 shape.push_balanced_subtree((b - a + 1) as usize, k)
             } else {
                 let id = shape.push_leaf();
+                let wb = WeightIndex {
+                    hot: &hot[hlo..hhi],
+                    pre: &pre[hlo..=hhi],
+                };
                 let m = wb.weighted_median(a, b);
                 ranges.clear();
                 let cl = wb.split_around(a, b, m, k, &mut ranges);
                 shape.key_gap[id as usize] = cl as u8;
                 for &(ca, cb) in ranges.iter().rev() {
-                    stack.push((ca, cb, id));
+                    let (clo, chi) = wb.slice_of(ca, cb);
+                    stack.push((ca, cb, id, hlo + clo, hlo + chi));
                 }
                 id
             };
@@ -136,24 +152,10 @@ impl ShapeTree {
 
     /// Subtree sizes (number of shape nodes, including the node itself).
     pub fn subtree_sizes(&self) -> Vec<usize> {
-        let n = self.len();
-        let mut sizes = vec![0usize; n];
-        // Iterative post-order to avoid recursion depth limits on long paths.
-        let mut stack: Vec<(u32, usize)> = vec![(self.root, 0)];
-        while let Some(&(v, ci)) = stack.last() {
-            if ci < self.children[v as usize].len() {
-                // ksan-allow: panic-surface the while-let guard just yielded this top-of-stack entry
-                stack.last_mut().unwrap().1 += 1;
-                stack.push((self.children[v as usize][ci], 0));
-            } else {
-                stack.pop();
-                let mut s = 1usize;
-                for &c in &self.children[v as usize] {
-                    s += sizes[c as usize];
-                }
-                sizes[v as usize] = s;
-            }
-        }
+        let mut sizes = vec![0usize; self.len()];
+        self.inorder_walk(1, |v, first, last| {
+            sizes[v as usize] = (last + 1 - first) as usize;
+        });
         sizes
     }
 
@@ -161,34 +163,41 @@ impl ShapeTree {
     /// walk that respects each node's `key_gap`. Returns the key per shape
     /// node.
     pub fn assign_keys(&self, first_key: NodeKey) -> Vec<NodeKey> {
+        self.inorder_walk(first_key, |_, _, _| {})
+    }
+
+    /// The in-order walk behind [`ShapeTree::assign_keys`]: assigns keys
+    /// `first_key..` in order and, as the walk leaves each node `v`,
+    /// reports `span(v, first, last)` — the first and last key of `v`'s
+    /// subtree (contiguous, so the subtree holds `last − first + 1`
+    /// nodes). Iterative, so long paths cannot overflow the call stack.
+    pub(crate) fn inorder_walk(
+        &self,
+        first_key: NodeKey,
+        mut span: impl FnMut(u32, NodeKey, NodeKey),
+    ) -> Vec<NodeKey> {
         let n = self.len();
         let mut keys = vec![0 as NodeKey; n];
         if n == 0 {
             return keys;
         }
-        // Iterative in-order: state = (node, next child position to visit).
+        // State = (node, next child position to visit, first subtree key).
+        // Every state is seen once: each step either descends (advancing
+        // the position) or leaves the node.
         let mut next = first_key;
-        let mut stack: Vec<(u32, usize)> = vec![(self.root, 0)];
-        while let Some(&(v, pos)) = stack.last() {
+        let mut stack: Vec<(u32, usize, NodeKey)> = vec![(self.root, 0, first_key)];
+        while let Some(top) = stack.last_mut() {
+            let (v, pos, first) = *top;
             let cs = &self.children[v as usize];
-            let gap = self.key_gap[v as usize] as usize;
-            if pos == gap && keys[v as usize] == 0 {
+            if pos == self.key_gap[v as usize] as usize {
                 keys[v as usize] = next;
                 next += 1;
-                if pos == cs.len() {
-                    stack.pop();
-                    continue;
-                }
             }
             if pos < cs.len() {
-                // ksan-allow: panic-surface the while-let guard just yielded this top-of-stack entry
-                stack.last_mut().unwrap().1 += 1;
-                stack.push((cs[pos], 0));
+                top.1 += 1;
+                stack.push((cs[pos], 0, next));
             } else {
-                if keys[v as usize] == 0 {
-                    keys[v as usize] = next;
-                    next += 1;
-                }
+                span(v, first, next - 1);
                 stack.pop();
             }
         }
@@ -200,6 +209,18 @@ impl ShapeTree {
     /// parent, children counts are within `k`, and `key_gap` is in range.
     pub fn validate(&self, k: usize) -> Result<(), String> {
         let n = self.len();
+        if self.key_gap.len() != n {
+            return Err(format!(
+                "{} key gaps for {n} shape nodes",
+                self.key_gap.len()
+            ));
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        if self.root as usize >= n {
+            return Err(format!("root {} out of range", self.root));
+        }
         let mut seen = vec![false; n];
         let mut stack = vec![self.root];
         let mut visited = 0usize;
@@ -220,6 +241,9 @@ impl ShapeTree {
                 return Err(format!("shape node {v} key_gap out of range"));
             }
             for &c in &self.children[v] {
+                if c as usize >= n {
+                    return Err(format!("shape node {v} has out-of-range child {c}"));
+                }
                 stack.push(c);
             }
         }
@@ -248,6 +272,9 @@ impl ShapeTree {
     /// Depth of every node (root = 0).
     pub fn depths(&self) -> Vec<u32> {
         let mut d = vec![0u32; self.len()];
+        if self.is_empty() {
+            return d;
+        }
         let mut stack = vec![self.root];
         while let Some(v) = stack.pop() {
             for &c in &self.children[v as usize] {
@@ -258,38 +285,35 @@ impl ShapeTree {
         d
     }
 
-    /// Height (max depth) of the shape; 0 for a single node.
+    /// Height (max depth) of the shape; 0 for a single node or none.
     pub fn height(&self) -> u32 {
         self.depths().into_iter().max().unwrap_or(0)
     }
 }
 
-/// Prefix-sum index over the sorted hot-key frequencies backing
+/// Prefix-sum index over a slice of the sorted hot-key frequencies backing
 /// [`ShapeTree::weight_balanced`]: every range weight is two binary
 /// searches over the hot keys plus closed-form base weight, so split
-/// decisions never scan the keyspace.
+/// decisions never scan the keyspace. The slice must hold every hot key of
+/// the ranges queried.
 struct WeightIndex<'a> {
     hot: &'a [(NodeKey, u64)],
-    /// `pre[i]` = sum of the first `i` hot frequencies.
-    pre: Vec<u64>,
+    /// `pre[i] − pre[0]` = sum of the first `i` frequencies of `hot`
+    /// (a window of the whole hot list's prefix sums).
+    pre: &'a [u64],
 }
 
-impl<'a> WeightIndex<'a> {
-    fn new(hot: &'a [(NodeKey, u64)]) -> WeightIndex<'a> {
-        let mut pre = Vec::with_capacity(hot.len() + 1);
-        let mut acc = 0u64;
-        pre.push(0);
-        for &(_, w) in hot {
-            acc += w;
-            pre.push(acc);
-        }
-        WeightIndex { hot, pre }
+impl WeightIndex<'_> {
+    /// `hot[lo..hi]` are exactly the hot keys in `[a, b]`.
+    fn slice_of(&self, a: NodeKey, b: NodeKey) -> (usize, usize) {
+        let lo = self.hot.partition_point(|&(key, _)| key < a);
+        let hi = self.hot.partition_point(|&(key, _)| key <= b);
+        (lo, hi)
     }
 
     /// Sum of hot frequencies for keys in `[a, b]`.
     fn hot_weight(&self, a: NodeKey, b: NodeKey) -> u64 {
-        let lo = self.hot.partition_point(|&(key, _)| key < a);
-        let hi = self.hot.partition_point(|&(key, _)| key <= b);
+        let (lo, hi) = self.slice_of(a, b);
         self.pre[hi] - self.pre[lo]
     }
 
@@ -382,10 +406,18 @@ impl<'a> WeightIndex<'a> {
 /// Splits `n` nodes of a complete k-ary tree into the sizes of the root's
 /// child subtrees (last level filled left to right).
 pub fn complete_child_sizes(n: usize, k: usize) -> Vec<usize> {
+    let mut sizes = Vec::with_capacity(k);
+    complete_child_sizes_into(n, k, &mut sizes);
+    sizes
+}
+
+/// [`complete_child_sizes`] into a caller-owned buffer (cleared first).
+fn complete_child_sizes_into(n: usize, k: usize, sizes: &mut Vec<usize>) {
     debug_assert!(n >= 1);
+    sizes.clear();
     let rest = n - 1;
     if rest == 0 {
-        return Vec::new();
+        return;
     }
     // Height h of the whole tree: smallest h with cap(h) >= n, where
     // cap(h) = 1 + k + ... + k^h.
@@ -398,7 +430,7 @@ pub fn complete_child_sizes(n: usize, k: usize) -> Vec<usize> {
         cap = cap.saturating_add(level_cap);
     }
     if h == 0 {
-        return Vec::new();
+        return;
     }
     // Each child is a tree of height <= h - 1. Fully-interior part per child:
     // cap(h - 2) nodes; the last level (k^{h-1} slots per child) is filled
@@ -413,7 +445,6 @@ pub fn complete_child_sizes(n: usize, k: usize) -> Vec<usize> {
     let interior_total = interior_child * k;
     let last_total = rest.saturating_sub(interior_total);
     debug_assert!(rest >= interior_total, "n={n} k={k} h={h}");
-    let mut sizes = Vec::with_capacity(k);
     let mut remaining_last = last_total;
     for _ in 0..k {
         let take = remaining_last.min(last_per_child);
@@ -424,22 +455,32 @@ pub fn complete_child_sizes(n: usize, k: usize) -> Vec<usize> {
         }
     }
     debug_assert_eq!(sizes.iter().sum::<usize>(), rest);
-    sizes
 }
 
+/// Appends the complete k-ary shape on `n >= 1` nodes with ids in
+/// pre-order (children left to right) and returns its root id.
+/// Iterative: one child-size buffer serves every node, and each node's
+/// child list is allocated once at its final length.
 fn build_complete(shape: &mut ShapeTree, n: usize, k: usize) -> u32 {
-    let id = shape.children.len() as u32;
-    shape.children.push(Vec::new());
-    shape.key_gap.push(0);
-    let sizes = complete_child_sizes(n, k);
-    let mut kids = Vec::with_capacity(sizes.len());
-    for s in &sizes {
-        kids.push(build_complete(shape, *s, k));
+    const NO_PARENT: u32 = u32::MAX;
+    let root = shape.children.len() as u32;
+    let mut sizes: Vec<usize> = Vec::with_capacity(k);
+    // Jobs pop in pre-order (children pushed right to left), so each new
+    // node is appended to its parent's child list in slot order.
+    let mut stack: Vec<(usize, u32)> = vec![(n, NO_PARENT)];
+    while let Some((size, parent)) = stack.pop() {
+        let id = shape.children.len() as u32;
+        complete_child_sizes_into(size, k, &mut sizes);
+        shape.children.push(Vec::with_capacity(sizes.len()));
+        shape.key_gap.push(sizes.len().div_ceil(2) as u8);
+        if parent != NO_PARENT {
+            shape.children[parent as usize].push(id);
+        }
+        for &s in sizes.iter().rev() {
+            stack.push((s, id));
+        }
     }
-    let gap = kids.len().div_ceil(2);
-    shape.children[id as usize] = kids;
-    shape.key_gap[id as usize] = gap as u8;
-    id
+    root
 }
 
 #[cfg(test)]
@@ -474,6 +515,33 @@ mod tests {
                     h += 1;
                 }
                 assert_eq!(s.height(), h, "n={n} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_shape_is_well_defined() {
+        for k in 2..=6usize {
+            let s = ShapeTree::balanced_kary(0, k);
+            assert!(s.is_empty());
+            assert_eq!(s.validate(k), Ok(()));
+            assert_eq!(s.depths(), Vec::<u32>::new());
+            assert_eq!(s.height(), 0);
+            assert_eq!(s.subtree_sizes(), Vec::<usize>::new());
+            assert_eq!(s.assign_keys(1), Vec::<NodeKey>::new());
+            assert_eq!(ShapeTree::weight_balanced(0, k, &[]), s);
+        }
+    }
+
+    #[test]
+    fn subtree_sizes_count_every_descendant() {
+        for (n, k) in [(1usize, 2usize), (37, 3), (100, 5), (64, 2)] {
+            let s = ShapeTree::balanced_kary(n, k);
+            let sizes = s.subtree_sizes();
+            assert_eq!(sizes[s.root as usize], n);
+            for v in 0..n {
+                let kids: usize = s.children[v].iter().map(|&c| sizes[c as usize]).sum();
+                assert_eq!(sizes[v], 1 + kids, "n={n} k={k} node {v}");
             }
         }
     }
@@ -530,6 +598,20 @@ mod tests {
             "4 children must not validate at k=3"
         );
         assert!(s.validate(4).is_ok());
+    }
+
+    #[test]
+    fn validate_reports_malformed_arenas_instead_of_panicking() {
+        let good = ShapeTree::balanced_kary(7, 2);
+        let mut bad_child = good.clone();
+        bad_child.children[0][1] = 7;
+        assert!(bad_child.validate(2).is_err());
+        let mut bad_root = good.clone();
+        bad_root.root = 9;
+        assert!(bad_root.validate(2).is_err());
+        let mut bad_gaps = good;
+        bad_gaps.key_gap.pop();
+        assert!(bad_gaps.validate(2).is_err());
     }
 
     #[test]

@@ -99,10 +99,10 @@ pub struct KstTree {
     /// … and per-path-node key-gap positions, maintained incrementally
     /// across the re-form steps of one restructure.
     pub(crate) scratch_gaps: Vec<usize>,
-    /// Before/after edge buffers reused by [`KstTree::patch_subtree`]'s
-    /// sym-diff link accounting (capacity persists across patches).
-    pub(crate) scratch_edges_a: Vec<(NodeIdx, NodeIdx)>,
-    pub(crate) scratch_edges_b: Vec<(NodeIdx, NodeIdx)>,
+    /// Snapshot of the patched range's parent pointers, reused by
+    /// [`KstTree::patch_subtree`]'s link accounting (capacity persists
+    /// across patches).
+    pub(crate) scratch_parents: Vec<NodeIdx>,
 }
 
 /// Which end of the keyspace a [`KstTree::absorb_fragment`] attaches to.
@@ -151,8 +151,7 @@ impl KstTree {
             scratch_path: Vec::new(),
             scratch_pos: Vec::new(),
             scratch_gaps: Vec::new(),
-            scratch_edges_a: Vec::new(),
-            scratch_edges_b: Vec::new(),
+            scratch_parents: Vec::new(),
         };
         let root = t.write_fragment(shape, 1, 0, RoutingKey::MAX, 0);
         t.root = root;
@@ -207,27 +206,14 @@ impl KstTree {
     ) -> NodeIdx {
         let k = self.k;
         let km1 = k - 1;
-        let keys = shape.assign_keys(first_key);
-        // Key range (min, max key) of every shape subtree, for element
-        // placement and capacity reservation (subtree keys are contiguous,
-        // so the subtree size is `max − min + 1`).
-        let mut min_key = keys.clone();
-        let mut max_key = keys.clone();
-        // post-order fill
-        let mut order: Vec<u32> = Vec::with_capacity(shape.len());
-        let mut stack = vec![shape.root];
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            for &c in &shape.children[v as usize] {
-                stack.push(c);
-            }
-        }
-        for &v in order.iter().rev() {
-            for &c in &shape.children[v as usize] {
-                min_key[v as usize] = min_key[v as usize].min(min_key[c as usize]);
-                max_key[v as usize] = max_key[v as usize].max(max_key[c as usize]);
-            }
-        }
+        // Keys and the key range (first, last key) of every shape subtree,
+        // for element placement and capacity reservation, from one in-order
+        // walk (subtree keys are contiguous, so the subtree size is
+        // `last − first + 1`).
+        let mut span: Vec<(NodeKey, NodeKey)> = vec![(0, 0); shape.len()];
+        let keys = shape.inorder_walk(first_key, |v, first, last| {
+            span[v as usize] = (first, last);
+        });
         // Pre-order: materialize each node given its interval. The working
         // vectors are hoisted out of the loop and reused per node, so the
         // build allocates O(1) times past the initial arena reservation.
@@ -269,12 +255,13 @@ impl KstTree {
                         chunk: usize::MAX,
                     });
                 }
+                let (first, last) = span[ch as usize];
                 items.push(Item {
-                    lo_img: key_image(min_key[ch as usize]),
-                    hi_img: key_image(max_key[ch as usize]),
+                    lo_img: key_image(first),
+                    hi_img: key_image(last),
                     chunk: i,
                 });
-                chunk_size.push((max_key[ch as usize] - min_key[ch as usize] + 1) as u64);
+                chunk_size.push((last - first + 1) as u64);
             }
             if gap == c {
                 items.push(Item {
@@ -389,11 +376,15 @@ impl KstTree {
     /// tree owns a contiguous key range, so this is the natural patch
     /// unit; the planner derives candidate ranges from the live tree).
     /// Locating the range root is O(depth), verification plus re-forming
-    /// is O(subtree), and the exact adjustment cost comes from
-    /// [`crate::lazy::sym_diff`] over the subtree's before/after edge
-    /// lists (anchor edge included) — the same accounting the full
-    /// rebuild path uses. Edge buffers live in persistent scratch, so
-    /// repeated patches reuse their capacity. Returns one patch of
+    /// is O(subtree), and so is the exact adjustment cost: the range's
+    /// edges are `{v, parent(v)}` for every `v` in it (anchor edge
+    /// included), so a snapshot of the range's parent pointers taken
+    /// before re-forming gives the old edge set, and an edge `{v, p}` of
+    /// the new range survived iff `old[v] == p` or (`p` in range and)
+    /// `old[p] == v`. `links_changed` is the symmetric difference
+    /// `|before| + |after| − 2·common` — exact, without building or
+    /// sorting edge lists. The snapshot lives in persistent scratch, so
+    /// repeated patches reuse its capacity. Returns one patch of
     /// `hi − lo + 1` nodes and its `links_changed`.
     ///
     /// Panics if the range is not a subtree or the fragment does not fit;
@@ -457,12 +448,7 @@ impl KstTree {
             r = c;
             rdepth += 1;
         }
-        // 2. Verify the subtree under `r` is exactly the range, collecting
-        //    its current edges (anchor edge included) for link accounting.
-        let mut before = std::mem::take(&mut self.scratch_edges_a);
-        let mut after = std::mem::take(&mut self.scratch_edges_b);
-        before.clear();
-        after.clear();
+        // 2. Verify the subtree under `r` is exactly the range.
         let mut count = 0usize;
         let mut stack: Vec<NodeIdx> = vec![r];
         while let Some(v) = stack.pop() {
@@ -474,7 +460,6 @@ impl KstTree {
             );
             for &c in self.children(v) {
                 if c != NIL {
-                    before.push((v.min(c), v.max(c)));
                     stack.push(c);
                 }
             }
@@ -485,10 +470,12 @@ impl KstTree {
             "subtree under key {} holds {count} nodes, range [{lo},{hi}] needs {size}",
             idx_to_key(r)
         );
-        if anchor != NIL {
-            before.push((r.min(anchor), r.max(anchor)));
-        }
-        before.sort_unstable();
+        // Snapshot the range's parent pointers: its old edge set.
+        let base = key_to_idx(lo);
+        let range = base as usize..base as usize + size;
+        let mut old = std::mem::take(&mut self.scratch_parents);
+        old.clear();
+        old.extend_from_slice(&self.parent[range.clone()]);
         // 3. Re-form the range in place and reattach.
         let new_root = self.write_fragment(fragment, lo, glo, ghi, rdepth);
         self.set_parent(new_root, anchor);
@@ -497,17 +484,24 @@ impl KstTree {
         } else {
             self.children_mut(anchor)[anchor_slot] = new_root;
         }
-        // 4. Exact links_changed via the shared sym-diff machinery.
-        for idx in key_to_idx(lo)..=key_to_idx(hi) {
-            let p = self.parent(idx);
-            if p != NIL {
-                after.push((idx.min(p), idx.max(p)));
+        // 4. Exact links_changed: count the edges both trees share. Tree
+        //    edges are distinct and never both `old[v] == p` and
+        //    `old[p] == v`, so each shared edge is counted once.
+        let (mut before, mut after, mut common) = (0u64, 0u64, 0u64);
+        for (i, (&old_p, &p)) in old.iter().zip(&self.parent[range]).enumerate() {
+            before += u64::from(old_p != NIL);
+            if p == NIL {
+                continue;
+            }
+            after += 1;
+            let v = base + i as NodeIdx;
+            let pi = p.wrapping_sub(base) as usize;
+            if old_p == p || (pi < size && old[pi] == v) {
+                common += 1;
             }
         }
-        after.sort_unstable();
-        let links_changed = crate::lazy::sym_diff(&before, &after);
-        self.scratch_edges_a = before;
-        self.scratch_edges_b = after;
+        let links_changed = before + after - 2 * common;
+        self.scratch_parents = old;
         ServeCost {
             links_changed,
             rebuild_patches: 1,
@@ -1184,8 +1178,7 @@ impl Clone for KstTree {
             scratch_path: Vec::with_capacity(self.scratch_path.capacity()),
             scratch_pos: Vec::with_capacity(self.scratch_pos.capacity()),
             scratch_gaps: Vec::with_capacity(self.scratch_gaps.capacity()),
-            scratch_edges_a: Vec::with_capacity(self.scratch_edges_a.capacity()),
-            scratch_edges_b: Vec::with_capacity(self.scratch_edges_b.capacity()),
+            scratch_parents: Vec::with_capacity(self.scratch_parents.capacity()),
         }
     }
 }

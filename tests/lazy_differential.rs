@@ -15,6 +15,13 @@
 //! count, so any divergence in the production path shows up as a
 //! per-request mismatch rather than a drifted total.
 //!
+//! **Partial patches count links exactly.** `patch_subtree` derives
+//! `links_changed` from a snapshot of the patched range's parent
+//! pointers; every partial patch of a rotated tree — random exact-subtree
+//! ranges with random fragments, and the connector patches
+//! `extract_range` issues — is checked against an independent
+//! `BTreeSet` diff of the whole tree's edge set.
+//!
 //! **Incremental plans preserve the invariants.** Partial patches have no
 //! oracle — they are *supposed* to diverge from full rebuilds — so the
 //! guard for them is structural: after every rebuild of an incremental
@@ -24,10 +31,12 @@
 
 use ksan::core::lazy::{incremental_weight_balanced_rebuilder, weight_balanced_rebuilder};
 use ksan::core::routing::route;
-use ksan::core::{FullRebuild, KstTree, Rebuild};
+use ksan::core::{FullRebuild, KstTree, NodeIdx, Rebuild};
 use ksan::prelude::*;
 use ksan::sim::experiments::{centroid_rebuilder, optimal_rebuilder};
 use ksan::statics::{centroid_shape, optimal_routing_based};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// The pre-refactor lazy net, verbatim: dense flat n×n epoch demand,
@@ -338,5 +347,236 @@ fn patch_subtree_on_rotated_trees_keeps_invariants() {
             }
         }
         assert!(patched >= 4, "k={k}: too few patchable subtrees probed");
+    }
+}
+
+/// Every tree edge as a `(smaller key, larger key)` pair, key `shift`ed
+/// (extraction renumbers the remaining keys of a `Low` run down).
+fn key_edges(t: &KstTree, shift: NodeKey) -> BTreeSet<(NodeKey, NodeKey)> {
+    let mut edges = BTreeSet::new();
+    for v in t.nodes() {
+        let p = t.parent(v);
+        if p != ksan::core::NIL {
+            let (a, b) = (t.key_of(v) + shift, t.key_of(p) + shift);
+            edges.insert((a.min(b), a.max(b)));
+        }
+    }
+    edges
+}
+
+/// Subtree key span and node count of every node, indexed by node.
+fn subtree_spans(t: &KstTree) -> Vec<(NodeKey, NodeKey, usize)> {
+    let mut span = vec![(NodeKey::MAX, 0, 0usize); t.n()];
+    let mut order = Vec::with_capacity(t.n());
+    let mut stack = vec![t.root()];
+    while let Some(v) = stack.pop() {
+        order.push(v);
+        stack.extend(t.children(v).iter().filter(|&&c| c != ksan::core::NIL));
+    }
+    for &v in order.iter().rev() {
+        let key = t.key_of(v);
+        let mut s = (key, key, 1usize);
+        for &c in t.children(v) {
+            if c != ksan::core::NIL {
+                let (a, b, n) = span[c as usize];
+                s = (s.0.min(a), s.1.max(b), s.2 + n);
+            }
+        }
+        span[v as usize] = s;
+    }
+    span
+}
+
+/// A random fragment on `size` nodes: weight-balanced on a random hot set
+/// (sometimes empty, i.e. the complete tree).
+fn random_fragment(rng: &mut StdRng, size: usize, k: usize) -> ShapeTree {
+    let mut hot: Vec<(NodeKey, u64)> = (0..rng.gen_range(0..=4usize))
+        .map(|_| {
+            (
+                rng.gen_range(1..=size as NodeKey),
+                rng.gen_range(1..=5_000u64),
+            )
+        })
+        .collect();
+    hot.sort_by_key(|&(key, _)| key);
+    hot.dedup_by_key(|e| e.0);
+    ShapeTree::weight_balanced(size, k, &hot)
+}
+
+/// A rotated tree: the topology after a zipf serve history on a k-splay
+/// net, with routing elements scattered by the rotations.
+fn rotated_tree(k: usize, n: usize, seed: u64) -> KstTree {
+    let mut splay = KSplayNet::balanced(k, n);
+    for &(u, v) in gens::zipf(n, 1_500, 1.1, seed).requests() {
+        splay.serve(u, v);
+    }
+    splay.tree().clone()
+}
+
+#[test]
+fn partial_patch_links_match_edge_set_diff() {
+    let mut rng = StdRng::seed_from_u64(0x11_4C5);
+    for k in [2usize, 3, 4] {
+        let n = 240;
+        let mut tree = rotated_tree(k, n, 60 + k as u64);
+        let mut partial = 0;
+        let mut moved = 0;
+        for round in 0..60 {
+            // A random node whose subtree owns a contiguous key range
+            // (rotations can leave "shadow" subtrees that do not) of at
+            // least three keys, so most fragments can move links.
+            let spans = subtree_spans(&tree);
+            let candidates: Vec<NodeIdx> = tree
+                .nodes()
+                .filter(|&v| {
+                    let (a, b, count) = spans[v as usize];
+                    (b - a + 1) as usize == count && count >= 3
+                })
+                .collect();
+            // Every seventh round re-forms a subtree with its own shape,
+            // which must move nothing; `subtree_shape` reproduces a
+            // subtree only when all of its nodes own contiguous ranges.
+            let identity = round % 7 == 0;
+            let clean = |v: NodeIdx| {
+                let mut stack = vec![v];
+                while let Some(w) = stack.pop() {
+                    let (a, b, count) = spans[w as usize];
+                    if (b - a + 1) as usize != count {
+                        return false;
+                    }
+                    stack.extend(tree.children(w).iter().filter(|&&c| c != ksan::core::NIL));
+                }
+                true
+            };
+            let pool: Vec<NodeIdx> = if identity {
+                candidates.iter().copied().filter(|&v| clean(v)).collect()
+            } else {
+                candidates
+            };
+            let v = pool[rng.gen_range(0..pool.len())];
+            let (lo, hi, size) = spans[v as usize];
+            let fragment = if identity {
+                tree.subtree_shape(v)
+            } else {
+                random_fragment(&mut rng, size, k)
+            };
+            let before = key_edges(&tree, 0);
+            let cost = tree.patch_subtree(lo, hi, &fragment);
+            let after = key_edges(&tree, 0);
+            let want = before.symmetric_difference(&after).count() as u64;
+            assert_eq!(
+                cost.links_changed, want,
+                "k={k} round {round}: patch [{lo},{hi}] miscounted links"
+            );
+            if identity {
+                assert_eq!(cost.links_changed, 0, "k={k}: identity patch moved links");
+            }
+            ksan::core::invariants::validate(&tree)
+                .unwrap_or_else(|e| panic!("k={k} round {round} patch [{lo},{hi}]: {e}"));
+            partial += usize::from(size < n);
+            moved += usize::from(want > 0);
+        }
+        assert!(partial >= 40, "k={k}: too few partial patches ({partial})");
+        assert!(
+            moved >= 20,
+            "k={k}: too few patches changed links ({moved})"
+        );
+    }
+}
+
+/// The smallest subtree that holds every key of `[lo, hi]` and owns a
+/// contiguous key range — the cover `extract_range` re-forms with a
+/// connector when the run itself is not a subtree.
+fn contiguous_cover(t: &KstTree, lo: NodeKey, hi: NodeKey) -> (NodeKey, NodeKey) {
+    let (a, b, _) = subtree_spans(t)
+        .into_iter()
+        .filter(|&(a, b, count)| a <= lo && hi <= b && (b - a + 1) as usize == count)
+        .min_by_key(|&(_, _, count)| count)
+        .unwrap();
+    (a, b)
+}
+
+/// `extract_range`'s connector for boundary run `[lo, hi]` inside cover
+/// `[a, b]`: the key adjacent to the run as root, the run and the rest of
+/// the cover as complete subtrees.
+fn connector(lo: NodeKey, hi: NodeKey, a: NodeKey, b: NodeKey, k: usize) -> ShapeTree {
+    let size = (hi - lo + 1) as usize;
+    let mut conn = ShapeTree {
+        children: Vec::new(),
+        key_gap: Vec::new(),
+        root: 0,
+    };
+    let (left, right, gap) = if lo == 1 {
+        (size, (b - hi - 1) as usize, 1u8)
+    } else {
+        let left = (lo - 1 - a) as usize;
+        (left, size, u8::from(left > 0))
+    };
+    let mut kids = Vec::new();
+    for part in [left, right] {
+        if part > 0 {
+            kids.push(conn.push_balanced_subtree(part, k));
+        }
+    }
+    conn.root = conn.push_leaf();
+    conn.children[conn.root as usize] = kids;
+    conn.key_gap[conn.root as usize] = gap;
+    conn
+}
+
+#[test]
+fn extract_range_connector_links_match_edge_set_diff() {
+    let mut rng = StdRng::seed_from_u64(0xC0_22EC7);
+    for k in [2usize, 3, 4] {
+        let n = 200;
+        let mut connectors = 0;
+        for round in 0..40 {
+            let tree = rotated_tree(k, n, 500 + 40 * k as u64 + round);
+            let take = rng.gen_range(1..=n as NodeKey / 3);
+            let low = round % 2 == 0;
+            let (lo, hi) = if low {
+                (1, take)
+            } else {
+                (n as NodeKey - take + 1, n as NodeKey)
+            };
+            // The connector patch on its own, against the oracle.
+            let (a, b) = contiguous_cover(&tree, lo, hi);
+            let mut reference = tree.clone();
+            let mut conn_links = 0;
+            if (a, b) != (lo, hi) {
+                let before = key_edges(&reference, 0);
+                conn_links = reference
+                    .patch_subtree(a, b, &connector(lo, hi, a, b, k))
+                    .links_changed;
+                let after = key_edges(&reference, 0);
+                assert_eq!(
+                    conn_links,
+                    before.symmetric_difference(&after).count() as u64,
+                    "k={k} round {round}: connector patch [{a},{b}] miscounted links"
+                );
+                connectors += 1;
+            }
+            // The extraction books exactly that patch plus the detached
+            // anchor link, and leaves the reference's remaining edges.
+            let mut donor = tree.clone();
+            let (fragment, cost) = donor.extract_range(lo, hi);
+            assert_eq!(fragment.len(), take as usize);
+            assert_eq!(
+                cost.links_changed,
+                conn_links + 1,
+                "k={k} round {round}: extract [{lo},{hi}] miscounted links"
+            );
+            let remaining = key_edges(&donor, if low { hi } else { 0 });
+            let run = |key: NodeKey| lo <= key && key <= hi;
+            let kept: BTreeSet<(NodeKey, NodeKey)> = key_edges(&reference, 0)
+                .into_iter()
+                .filter(|&(x, y)| !run(x) && !run(y))
+                .collect();
+            assert_eq!(remaining, kept, "k={k} round {round}: remainder differs");
+        }
+        assert!(
+            connectors >= 10,
+            "k={k}: too few connector patches ({connectors})"
+        );
     }
 }
