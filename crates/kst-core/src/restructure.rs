@@ -210,12 +210,7 @@ impl KstTree {
 
         // --- 3. reattach ----------------------------------------------------
         let new_top = path[d - 1];
-        self.set_parent(new_top, anchor);
-        if anchor == NIL {
-            self.set_root(new_top);
-        } else {
-            self.children_mut(anchor)[anchor_slot] = new_top;
-        }
+        self.attach(new_top, anchor, anchor_slot);
 
         self.scratch_elems = elems;
         self.scratch_slots = slots;

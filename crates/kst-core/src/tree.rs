@@ -57,6 +57,8 @@
 use crate::key::{idx_to_key, key_image, key_to_idx, NodeIdx, NodeKey, RoutingKey, NIL};
 use crate::net::ServeCost;
 use crate::shape::ShapeTree;
+use std::convert::identity;
+use std::ops::Range;
 
 /// A k-ary search tree on `n` nodes with permanent identifiers `1..=n`.
 pub struct KstTree {
@@ -117,6 +119,20 @@ pub enum End {
     Low,
     /// Append: fragment keys become `n+1..=n+f`, existing keys unchanged.
     High,
+}
+
+/// Where [`KstTree::locate_range`]'s descent stopped: the range root (or
+/// the node where the range `split`s), its `anchor` parent and `slot`
+/// (`NIL` / `usize::MAX` at the root), that slot's enclosing gap
+/// `(glo, ghi)`, and its `depth`.
+struct RangeLoc {
+    node: NodeIdx,
+    anchor: NodeIdx,
+    slot: usize,
+    glo: RoutingKey,
+    ghi: RoutingKey,
+    depth: u32,
+    split: bool,
 }
 
 impl KstTree {
@@ -372,25 +388,20 @@ impl KstTree {
     /// `from_shape` rebuild, O(subtree) instead of O(n).
     ///
     /// The range must currently be a subtree: some node's descendants
-    /// carry exactly the keys `lo..=hi` (every subtree of a k-ary search
-    /// tree owns a contiguous key range, so this is the natural patch
-    /// unit; the planner derives candidate ranges from the live tree).
-    /// Locating the range root is O(depth), verification plus re-forming
-    /// is O(subtree), and so is the exact adjustment cost: the range's
-    /// edges are `{v, parent(v)}` for every `v` in it (anchor edge
-    /// included), so a snapshot of the range's parent pointers taken
-    /// before re-forming gives the old edge set, and an edge `{v, p}` of
-    /// the new range survived iff `old[v] == p` or (`p` in range and)
-    /// `old[p] == v`. `links_changed` is the symmetric difference
-    /// `|before| + |after| − 2·common` — exact, without building or
-    /// sorting edge lists. The snapshot lives in persistent scratch, so
-    /// repeated patches reuse its capacity. Returns one patch of
+    /// carry exactly the keys `lo..=hi` (the planner derives candidate
+    /// ranges from the live tree). Locating the range root is O(depth);
+    /// verification, re-forming and the exact adjustment cost are
+    /// O(subtree): the range's edges are `{v, parent(v)}` for every `v` in
+    /// it (anchor edge included), so a snapshot of its parent pointers
+    /// (persistent scratch) gives the old edge set, and a new edge
+    /// `{v, p}` survived iff `old[v] == p` or (`p` in range and)
+    /// `old[p] == v`. `links_changed` is `|before| + |after| − 2·common`,
+    /// without building or sorting edge lists. Returns one patch of
     /// `hi − lo + 1` nodes and its `links_changed`.
     ///
     /// Panics if the range is not a subtree or the fragment does not fit;
     /// the whole-tree range `[1, n]` degenerates to a full rebuild.
     pub fn patch_subtree(&mut self, lo: NodeKey, hi: NodeKey, fragment: &ShapeTree) -> ServeCost {
-        let k = self.k;
         assert!(
             lo >= 1 && lo <= hi && hi as usize <= self.n,
             "patch range [{lo},{hi}] outside keyspace 1..={}",
@@ -404,71 +415,25 @@ impl KstTree {
             fragment.len()
         );
         fragment
-            .validate(k)
+            .validate(self.k)
             // ksan-allow: panic-surface patch contract — an invalid fragment is a caller bug and validate carries the diagnostic
             .expect("fragment incompatible with requested arity");
-        // 1. Locate the range root by descending from the tree root while
-        //    maintaining the exact enclosing gap: as long as the current
-        //    node's own key lies outside [lo, hi], both range endpoints
-        //    must route into the same child slot.
-        let lo_img = key_image(lo);
-        let hi_img = key_image(hi);
-        let (mut glo, mut ghi) = (0u64, RoutingKey::MAX);
-        let mut anchor = NIL;
-        let mut anchor_slot = usize::MAX;
-        let mut r = self.root;
-        // Descent steps = the range root's depth, which seeds the depth
-        // cache for the re-formed fragment.
-        let mut rdepth = 0u32;
-        loop {
-            let rk = idx_to_key(r);
-            if lo <= rk && rk <= hi {
-                break;
-            }
-            let es = self.elems(r);
-            let j = es.partition_point(|&e| e < lo_img);
-            assert_eq!(
-                j,
-                es.partition_point(|&e| e < hi_img),
-                "[{lo},{hi}] splits across node key {rk}: not a subtree range"
-            );
-            if j > 0 {
-                glo = es[j - 1];
-            }
-            if j < k - 1 {
-                ghi = es[j];
-            }
-            let c = self.children(r)[j];
-            assert!(
-                c != NIL,
-                "[{lo},{hi}] routes into an empty slot: not a subtree range"
-            );
-            anchor = r;
-            anchor_slot = j;
-            r = c;
-            rdepth += 1;
-        }
-        // 2. Verify the subtree under `r` is exactly the range.
-        let mut count = 0usize;
-        let mut stack: Vec<NodeIdx> = vec![r];
-        while let Some(v) = stack.pop() {
-            count += 1;
-            let vk = idx_to_key(v);
-            assert!(
-                lo <= vk && vk <= hi,
-                "key {vk} under range root violates [{lo},{hi}]: not a subtree range"
-            );
-            for &c in self.children(v) {
-                if c != NIL {
-                    stack.push(c);
-                }
-            }
-        }
+        // 1. Locate the range root and verify its subtree is exactly the
+        //    range.
+        let at = self.locate_range(lo, hi);
+        let rk = idx_to_key(at.node);
+        assert!(
+            !at.split,
+            "[{lo},{hi}] splits across node key {rk}: not a subtree range"
+        );
+        let (count, kmin, kmax) = self.tally(at.node, NIL);
+        assert!(
+            lo <= kmin && kmax <= hi,
+            "subtree under key {rk} spans keys [{kmin},{kmax}], outside [{lo},{hi}]: not a subtree range"
+        );
         assert_eq!(
-            count,
-            size,
-            "subtree under key {} holds {count} nodes, range [{lo},{hi}] needs {size}",
-            idx_to_key(r)
+            count, size,
+            "subtree under key {rk} holds {count} nodes, range [{lo},{hi}] needs {size}"
         );
         // Snapshot the range's parent pointers: its old edge set.
         let base = key_to_idx(lo);
@@ -476,15 +441,11 @@ impl KstTree {
         let mut old = std::mem::take(&mut self.scratch_parents);
         old.clear();
         old.extend_from_slice(&self.parent[range.clone()]);
-        // 3. Re-form the range in place and reattach.
-        let new_root = self.write_fragment(fragment, lo, glo, ghi, rdepth);
-        self.set_parent(new_root, anchor);
-        if anchor == NIL {
-            self.set_root(new_root);
-        } else {
-            self.children_mut(anchor)[anchor_slot] = new_root;
-        }
-        // 4. Exact links_changed: count the edges both trees share. Tree
+        // 2. Re-form the range in place and reattach; the range root's
+        //    depth seeds the depth cache for the re-formed fragment.
+        let new_root = self.write_fragment(fragment, lo, at.glo, at.ghi, at.depth);
+        self.attach(new_root, at.anchor, at.slot);
+        // 3. Exact links_changed: count the edges both trees share. Tree
         //    edges are distinct and never both `old[v] == p` and
         //    `old[p] == v`, so each shared edge is counted once.
         let (mut before, mut after, mut common) = (0u64, 0u64, 0u64);
@@ -552,16 +513,15 @@ impl KstTree {
     /// keyspace (`lo == 1` or `hi == n`) — live resharding only moves
     /// boundary runs, and only boundary runs keep the remainder contiguous.
     ///
-    /// Two-phase, mirroring the lazy rebuild machinery: if the run is not
-    /// already an exact subtree, a **connector patch** first re-forms the
-    /// minimal enclosing subtree (via [`KstTree::patch_subtree`]) so the
-    /// run hangs off a single anchor edge; the run's subtree is then
-    /// detached and the arena compacted. On a `Low` extraction the
-    /// remaining keys are renumbered down by `hi` (key `κ` lives at index
-    /// `κ − 1` forever, so renumbering is an arena shift) and every
-    /// routing element / stored bound is translated with it; remaining
-    /// elements *below* the first surviving key image — leading empty-slot
-    /// elements left behind by past rotations — are order-preservingly
+    /// If the run is not already an exact subtree, a **connector patch**
+    /// first re-forms the minimal enclosing subtree (via
+    /// [`KstTree::patch_subtree`]) so the run hangs off a single anchor
+    /// edge; the run's subtree is then detached and the arena compacted.
+    /// On a `Low` extraction the remaining keys are renumbered down by `hi`
+    /// (key `κ` lives at index `κ − 1`, so renumbering is an arena shift)
+    /// and every routing element / stored bound is translated with it;
+    /// remaining elements *below* the first surviving key image (leading
+    /// empty-slot elements left by past rotations) are order-preservingly
     /// compressed into `1, 2, …` so no transform can underflow.
     ///
     /// The returned [`ServeCost`] counts the connector patch plus the
@@ -571,9 +531,7 @@ impl KstTree {
     ///
     /// Panics if the run is empty, covers the whole tree, or is interior.
     pub fn extract_range(&mut self, lo: NodeKey, hi: NodeKey) -> (ShapeTree, ServeCost) {
-        let k = self.k;
-        let km1 = k - 1;
-        let n = self.n;
+        let (k, n) = (self.k, self.n);
         assert!(
             lo >= 1 && lo <= hi && (hi as usize) <= n,
             "extract range [{lo},{hi}] outside keyspace 1..={n}"
@@ -584,27 +542,10 @@ impl KstTree {
             lo == 1 || hi as usize == n,
             "extract range [{lo},{hi}] must touch a keyspace boundary (n={n})"
         );
-        let lo_img = key_image(lo);
-        let hi_img = key_image(hi);
         let mut cost = ServeCost::default();
-        // 1. Find the minimal subtree containing the run: descend while the
-        //    node's key is outside [lo, hi] and both endpoints route into
-        //    the same child slot.
-        let mut r = self.root;
-        loop {
-            let rk = idx_to_key(r);
-            if lo <= rk && rk <= hi {
-                break;
-            }
-            let es = self.elems(r);
-            let j = es.partition_point(|&e| e < lo_img);
-            if j != es.partition_point(|&e| e < hi_img) {
-                break;
-            }
-            let c = self.children(r)[j];
-            debug_assert!(c != NIL, "boundary run routes into an empty slot");
-            r = c;
-        }
+        // 1. Find the minimal subtree containing the run: the node where
+        //    the descent towards [lo, hi] stops.
+        let mut r = self.locate_range(lo, hi).node;
         // 2. Grow the containing subtree until its key set is contiguous
         //    (a node's own image may sit inside a *child's* gap interval —
         //    a legal "shadow" state after rotations — so a subtree's key
@@ -612,47 +553,14 @@ impl KstTree {
         //    is always contiguous, so this terminates at the root). If the
         //    contiguous cover is larger than [lo, hi], re-form it with a
         //    connector so the run becomes an exact subtree. Each node is
-        //    visited at most once across the growth, so this is O(cover).
-        fn tally(
-            t: &KstTree,
-            seed: NodeIdx,
-            stack: &mut Vec<NodeIdx>,
-            count: &mut usize,
-            kmin: &mut NodeKey,
-            kmax: &mut NodeKey,
-        ) {
-            stack.push(seed);
-            while let Some(v) = stack.pop() {
-                *count += 1;
-                *kmin = (*kmin).min(idx_to_key(v));
-                *kmax = (*kmax).max(idx_to_key(v));
-                for &c in t.children(v) {
-                    if c != NIL {
-                        stack.push(c);
-                    }
-                }
-            }
+        //    tallied at most once across the growth, so this is O(cover).
+        let (mut count, mut a, mut b) = self.tally(r, NIL);
+        while (b - a + 1) as usize != count {
+            let p = self.parent(r);
+            debug_assert!(p != NIL, "whole keyspace must be contiguous");
+            let (pc, pa, pb) = self.tally(p, r);
+            (count, a, b, r) = (count + pc, a.min(pa), b.max(pb), p);
         }
-        let (mut count, mut kmin, mut kmax) = (0usize, NodeKey::MAX, 0 as NodeKey);
-        {
-            let mut stack: Vec<NodeIdx> = Vec::new();
-            tally(self, r, &mut stack, &mut count, &mut kmin, &mut kmax);
-            while (kmax - kmin + 1) as usize != count {
-                let p = self.parent(r);
-                debug_assert!(p != NIL, "whole keyspace must be contiguous");
-                count += 1;
-                kmin = kmin.min(idx_to_key(p));
-                kmax = kmax.max(idx_to_key(p));
-                for j in 0..k {
-                    let c = self.children(p)[j];
-                    if c != NIL && c != r {
-                        tally(self, c, &mut stack, &mut count, &mut kmin, &mut kmax);
-                    }
-                }
-                r = p;
-            }
-        }
-        let (a, b) = (kmin, kmax);
         debug_assert!(a <= lo && hi <= b);
         debug_assert!(if lo == 1 { a == 1 } else { b as usize == n });
         if (a, b) != (lo, hi) {
@@ -686,100 +594,53 @@ impl KstTree {
             cost += self.patch_subtree(a, b, &conn);
         }
         // 3. Re-locate the (now exact) run subtree, keeping its anchor.
-        let mut anchor = NIL;
-        let mut anchor_slot = usize::MAX;
-        let mut r = self.root;
-        loop {
-            let rk = idx_to_key(r);
-            if lo <= rk && rk <= hi {
-                break;
-            }
-            let es = self.elems(r);
-            let j = es.partition_point(|&e| e < lo_img);
-            debug_assert_eq!(j, es.partition_point(|&e| e < hi_img));
-            anchor = r;
-            anchor_slot = j;
-            r = self.children(r)[j];
-        }
-        assert!(anchor != NIL, "boundary run of size < n cannot be the root");
-        let shape = self.subtree_shape(r);
+        let at = self.locate_range(lo, hi);
+        assert!(
+            !at.split && at.anchor != NIL,
+            "boundary run [{lo},{hi}] must be a non-root subtree after the connector patch"
+        );
+        let shape = self.subtree_shape(at.node);
         debug_assert_eq!(shape.len(), size);
-        // 4. Detach the run and compact the arena.
-        self.children_mut(anchor)[anchor_slot] = NIL;
+        // 4. Detach the run and compact the arena. Detaching a subtree
+        //    leaves every survivor's depth unchanged.
+        self.children_mut(at.anchor)[at.slot] = NIL;
         cost.links_changed += 1;
         let new_n = n - size;
-        if hi as usize == n && lo > 1 {
-            // High run: keys 1..=new_n keep their numbers; drop the tail.
-            // Detaching a subtree leaves every survivor's depth unchanged,
-            // so the (possibly disarmed = empty) cache just truncates.
-            self.parent.truncate(new_n);
-            self.elems.truncate(new_n * km1);
-            self.children.truncate(new_n * k);
-            self.lo.truncate(new_n);
-            self.hi.truncate(new_n);
-            self.depth.truncate(new_n);
-        } else {
-            // Low run: renumber keys down by f = hi. Remaining elements
-            // below image(f+1) (leading empty-slot values) are compressed
-            // order-preservingly into 1, 2, …, which stays strictly below
-            // every shifted image/element, so global element order — and
-            // with it every gap-containment invariant — is preserved.
-            let f = size;
-            let img_f = key_image(f as NodeKey);
-            let next_img = key_image((f + 1) as NodeKey);
-            let mut small: Vec<(RoutingKey, usize)> = Vec::new();
-            for flat in f * km1..n * km1 {
-                if self.elems[flat] < next_img {
-                    small.push((self.elems[flat], flat));
-                }
-            }
+        if lo == 1 {
+            // Low run: renumber keys down by hi. The compressed ranks stay
+            // strictly below every shifted image and element, so global
+            // element order (and every gap containment) is preserved.
+            // Stored bounds stay safe supersets: lo shrinks to 0 when it
+            // referenced the compressed region, hi widens to image(1).
+            let img_f = key_image(hi);
+            let next_img = key_image(hi + 1);
+            let mut small: Vec<RoutingKey> = self.elems[size * (k - 1)..]
+                .iter()
+                .copied()
+                .filter(|&e| e < next_img)
+                .collect();
             small.sort_unstable();
-            debug_assert!(small.windows(2).all(|w| w[0].0 < w[1].0));
+            debug_assert!(small.windows(2).all(|w| w[0] < w[1]));
             assert!(
                 (small.len() as u64) < key_image(1),
                 "routing-element space exhausted"
             );
-            for (rank, &(_, flat)) in small.iter().enumerate() {
-                self.elems[flat] = rank as RoutingKey + 1;
-            }
-            let sub = |v: NodeIdx| if v == NIL { NIL } else { v - f as NodeIdx };
-            for i in 0..new_n {
-                self.parent[i] = sub(self.parent[i + f]);
-                for j in 0..k {
-                    self.children[i * k + j] = sub(self.children[(i + f) * k + j]);
-                }
-                for j in 0..km1 {
-                    let e = self.elems[(i + f) * km1 + j];
-                    self.elems[i * km1 + j] = if e >= next_img { e - img_f } else { e };
-                }
-                // Stored bounds stay safe supersets: lo shrinks to 0 when
-                // it referenced the compressed region, hi widens to the
-                // first surviving image.
-                let slo = self.lo[i + f];
-                self.lo[i] = if slo >= next_img { slo - img_f } else { 0 };
-                let shi = self.hi[i + f];
-                self.hi[i] = if shi == RoutingKey::MAX {
-                    RoutingKey::MAX
-                } else if shi >= next_img {
-                    shi - img_f
-                } else {
-                    key_image(1)
-                };
-            }
-            // Renumbering is a pure index shift: survivor depths are
-            // unchanged (no-op on a disarmed = empty cache).
-            if !self.depth.is_empty() {
-                self.depth.copy_within(f.., 0);
-            }
-            self.parent.truncate(new_n);
-            self.elems.truncate(new_n * km1);
-            self.children.truncate(new_n * k);
-            self.lo.truncate(new_n);
-            self.hi.truncate(new_n);
-            self.depth.truncate(new_n);
-            self.root -= f as NodeIdx;
+            let rank = |e: RoutingKey| small.partition_point(|&s| s < e) as RoutingKey + 1;
+            self.resize_arenas(
+                new_n,
+                End::Low,
+                |e| if e >= next_img { e - img_f } else { rank(e) },
+                |b| if b >= next_img { b - img_f } else { 0 },
+                |b| match b {
+                    RoutingKey::MAX => b,
+                    _ if b >= next_img => b - img_f,
+                    _ => key_image(1),
+                },
+            );
+        } else {
+            // High run: keys 1..=new_n keep their numbers; drop the tail.
+            self.resize_arenas(new_n, End::High, identity, identity, identity);
         }
-        self.n = new_n;
         (shape, cost)
     }
 
@@ -799,7 +660,6 @@ impl KstTree {
     /// Cold-path: allocates freely (runs at migration boundaries only).
     pub fn absorb_fragment(&mut self, end: End, fragment: &ShapeTree) -> ServeCost {
         let k = self.k;
-        let km1 = k - 1;
         let f = fragment.len();
         assert!(f >= 1, "cannot absorb an empty fragment");
         fragment
@@ -812,85 +672,176 @@ impl KstTree {
             (new_n as u64) < (u32::MAX as u64),
             "node count must fit in u32 keys"
         );
-        self.parent.resize(new_n, NIL);
-        self.elems.resize(new_n * km1, 0);
-        self.children.resize(new_n * k, NIL);
-        self.lo.resize(new_n, 0);
-        self.hi.resize(new_n, 0);
-        let armed = !self.depth.is_empty();
-        if armed {
-            self.depth.resize(new_n, 0);
+        // On `End::Low` the existing keys renumber up by f: elements move
+        // by image(f), left-spine stored lo stays 0 (its exact bound) and
+        // hi saturates so MAX stays MAX.
+        let img_f = key_image(f as NodeKey);
+        self.resize_arenas(
+            new_n,
+            end,
+            |e| e + img_f,
+            |b| if b == 0 { 0 } else { b + img_f },
+            |b| b.saturating_add(img_f),
+        );
+        // Deepest boundary node on the fragment's side; its outermost gap
+        // holds every new image. The walk's step count is `w`'s depth — the
+        // fragment hangs one level below it.
+        let (slot, first) = match end {
+            End::Low => (0, 1),
+            End::High => (k - 1, old_n as NodeKey + 1),
+        };
+        let (mut w, mut dw) = (self.root, 0u32);
+        while self.children(w)[slot] != NIL {
+            w = self.children(w)[slot];
+            dw += 1;
         }
-        self.n = new_n;
-        match end {
-            End::High => {
-                // Deepest right-boundary node; its last gap is (max
-                // element, MAX) and every new image lies above it. The
-                // walk's step count is `w`'s depth — the fragment hangs one
-                // level below it.
-                let mut w = self.root;
-                let mut dw = 0u32;
-                while self.children(w)[k - 1] != NIL {
-                    w = self.children(w)[k - 1];
-                    dw += 1;
-                }
-                let glo = self.elems(w)[km1 - 1];
-                debug_assert!(glo < key_image((old_n + 1) as NodeKey));
-                let root_frag = self.write_fragment(
-                    fragment,
-                    (old_n + 1) as NodeKey,
-                    glo,
-                    RoutingKey::MAX,
-                    dw + 1,
-                );
-                self.children_mut(w)[k - 1] = root_frag;
-                self.set_parent(root_frag, w);
-            }
-            End::Low => {
-                // Renumber existing keys up by f: shift arena windows,
-                // translate elements by image(f), keep left-spine stored
-                // lo at 0 (the exact bound there stays 0) and saturate hi
-                // so MAX stays MAX. Depths are untouched by renumbering —
-                // the cache shifts as a block.
-                let img_f = key_image(f as NodeKey);
-                let add = |v: NodeIdx| if v == NIL { NIL } else { v + f as NodeIdx };
-                for i in (0..old_n).rev() {
-                    let ni = i + f;
-                    self.parent[ni] = add(self.parent[i]);
-                    for j in 0..k {
-                        self.children[ni * k + j] = add(self.children[i * k + j]);
-                    }
-                    for j in 0..km1 {
-                        self.elems[ni * km1 + j] = self.elems[i * km1 + j] + img_f;
-                    }
-                    let slo = self.lo[i];
-                    self.lo[ni] = if slo == 0 { 0 } else { slo + img_f };
-                    self.hi[ni] = self.hi[i].saturating_add(img_f);
-                }
-                if armed {
-                    self.depth.copy_within(0..old_n, f);
-                }
-                self.root += f as NodeIdx;
-                // Deepest left-boundary node; its first gap is (0, first
-                // element) and holds every new image with room to spare.
-                let mut w = self.root;
-                let mut dw = 0u32;
-                while self.children(w)[0] != NIL {
-                    w = self.children(w)[0];
-                    dw += 1;
-                }
-                let ghi = self.elems(w)[0];
-                debug_assert!(ghi > img_f);
-                let root_frag = self.write_fragment(fragment, 1, 0, ghi, dw + 1);
-                self.children_mut(w)[0] = root_frag;
-                self.set_parent(root_frag, w);
-            }
-        }
+        let (glo, ghi) = match end {
+            End::Low => (0, self.elems(w)[0]),
+            End::High => (self.elems(w)[k - 2], RoutingKey::MAX),
+        };
+        debug_assert!(glo < key_image(first) && key_image(first + f as NodeKey - 1) < ghi);
+        let root_frag = self.write_fragment(fragment, first, glo, ghi, dw + 1);
+        self.attach(root_frag, w, slot);
         ServeCost {
             links_changed: f as u64,
             rebuild_patches: 1,
             rebuild_nodes: f as u64,
             ..ServeCost::default()
+        }
+    }
+
+    /// Descends from the root towards the key range `[lo, hi]`: while the
+    /// node's own key lies outside the range and both endpoints route into
+    /// the same child slot, it steps into that slot, narrowing the
+    /// enclosing gap. It stops at the first node whose key is in the range,
+    /// or (`split`) where the endpoints part. O(depth). Panics on an empty
+    /// slot, which a valid tree never routes a present key into.
+    fn locate_range(&self, lo: NodeKey, hi: NodeKey) -> RangeLoc {
+        let (lo_img, hi_img) = (key_image(lo), key_image(hi));
+        let mut at = RangeLoc {
+            node: self.root,
+            anchor: NIL,
+            slot: usize::MAX,
+            glo: 0,
+            ghi: RoutingKey::MAX,
+            depth: 0,
+            split: false,
+        };
+        loop {
+            let rk = idx_to_key(at.node);
+            if lo <= rk && rk <= hi {
+                return at;
+            }
+            let es = self.elems(at.node);
+            let j = es.partition_point(|&e| e < lo_img);
+            if j != es.partition_point(|&e| e < hi_img) {
+                at.split = true;
+                return at;
+            }
+            let c = self.children(at.node)[j];
+            assert!(
+                c != NIL,
+                "[{lo},{hi}] routes into an empty slot: not a subtree range"
+            );
+            if j > 0 {
+                at.glo = es[j - 1];
+            }
+            if j < self.k - 1 {
+                at.ghi = es[j];
+            }
+            at.anchor = at.node;
+            at.slot = j;
+            at.node = c;
+            at.depth += 1;
+        }
+    }
+
+    /// Node count and smallest / largest key of the subtree under `r`,
+    /// leaving out the subtree under `skip` (`NIL` leaves out nothing).
+    /// O(subtree).
+    fn tally(&self, r: NodeIdx, skip: NodeIdx) -> (usize, NodeKey, NodeKey) {
+        let (mut count, mut kmin, mut kmax) = (0usize, NodeKey::MAX, 0 as NodeKey);
+        let mut stack: Vec<NodeIdx> = vec![r];
+        while let Some(v) = stack.pop() {
+            count += 1;
+            kmin = kmin.min(idx_to_key(v));
+            kmax = kmax.max(idx_to_key(v));
+            for &c in self.children(v) {
+                if c != NIL && c != skip {
+                    stack.push(c);
+                }
+            }
+        }
+        (count, kmin, kmax)
+    }
+
+    /// Resizes all six arenas (depth cache included) from `n` to `new_n`
+    /// nodes, adding blank entries or dropping entries at the `end` of the
+    /// keyspace. On `End::Low` the survivors are renumbered by the size
+    /// difference: parent, child and root indices move with them, and
+    /// their routing elements and stored bounds pass through `elem`, `lo`
+    /// and `hi`; `End::High` keeps every number and ignores the
+    /// transforms. Survivor depths never change, so the cache moves as a
+    /// block (a no-op while it is disarmed).
+    fn resize_arenas(
+        &mut self,
+        new_n: usize,
+        end: End,
+        elem: impl Fn(RoutingKey) -> RoutingKey,
+        lo: impl Fn(RoutingKey) -> RoutingKey,
+        hi: impl Fn(RoutingKey) -> RoutingKey,
+    ) {
+        let (k, km1, old_n) = (self.k, self.k - 1, self.n);
+        // `cut` nodes leave and `add` blank ones arrive at node index `at`.
+        let (cut, add) = (old_n.saturating_sub(new_n), new_n.saturating_sub(old_n));
+        let at = if end == End::Low { 0 } else { old_n - cut };
+        // Arena by arena in a fixed order: reordering the reallocations
+        // measurably changes the allocator's fragmentation and peak RSS.
+        let window = |stride: usize| (at * stride..(at + cut) * stride, add * stride);
+        fn splice<T: Copy>(v: &mut Vec<T>, (range, len): (Range<usize>, usize), blank: T) {
+            v.splice(range, std::iter::repeat_n(blank, len));
+        }
+        splice(&mut self.parent, window(1), NIL);
+        splice(&mut self.elems, window(km1), 0);
+        splice(&mut self.children, window(k), NIL);
+        splice(&mut self.lo, window(1), 0);
+        splice(&mut self.hi, window(1), 0);
+        if !self.depth.is_empty() {
+            splice(&mut self.depth, window(1), 0);
+        }
+        if end == End::Low {
+            let renumber = |v: NodeIdx| {
+                if v == NIL {
+                    NIL
+                } else {
+                    (v as usize + add - cut) as NodeIdx
+                }
+            };
+            let kept = add..add + old_n.min(new_n);
+            let kids = &mut self.children[kept.start * k..kept.end * k];
+            for v in self.parent[kept.clone()].iter_mut().chain(kids) {
+                *v = renumber(*v);
+            }
+            for e in &mut self.elems[kept.start * km1..kept.end * km1] {
+                *e = elem(*e);
+            }
+            for (l, h) in self.lo[kept.clone()].iter_mut().zip(&mut self.hi[kept]) {
+                (*l, *h) = (lo(*l), hi(*h));
+            }
+            self.root = renumber(self.root);
+        }
+        self.n = new_n;
+    }
+
+    /// Hangs the subtree rooted at `v` into `anchor`'s child `slot`, or
+    /// makes it the tree root when `anchor` is `NIL` — the one reattach
+    /// step of the range surgeries and of [`KstTree::restructure`].
+    pub(crate) fn attach(&mut self, v: NodeIdx, anchor: NodeIdx, slot: usize) {
+        self.set_parent(v, anchor);
+        if anchor == NIL {
+            self.root = v;
+        } else {
+            self.children_mut(anchor)[slot] = v;
         }
     }
 
@@ -924,10 +875,6 @@ impl KstTree {
     #[inline]
     pub fn root(&self) -> NodeIdx {
         self.root
-    }
-
-    pub(crate) fn set_root(&mut self, r: NodeIdx) {
-        self.root = r;
     }
 
     /// Parent index of `v`, `NIL` for the root.
@@ -1401,6 +1348,52 @@ mod tests {
     fn extract_interior_range_panics() {
         let mut t = KstTree::balanced(3, 20);
         let _ = t.extract_range(5, 10);
+    }
+
+    /// The message of the panic `f` must raise.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("expected a panic");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn patch_rejects_a_range_that_splits_across_a_node_key() {
+        // Two adjacent keys whose lowest common ancestor is a third node:
+        // they sit in neighbouring child slots of a node whose own key lies
+        // elsewhere, so the descent towards [a, a+1] parts at that node.
+        let mut t = KstTree::balanced(3, 40);
+        let a = (1..40)
+            .find(|&a| {
+                let l = t.lca(t.node_of(a), t.node_of(a + 1));
+                l != t.node_of(a) && l != t.node_of(a + 1)
+            })
+            .expect("a balanced 3-ary tree has slot-adjacent keys");
+        let msg = panic_message(|| {
+            t.patch_subtree(a, a + 1, &ShapeTree::balanced_kary(2, 3));
+        });
+        assert!(
+            msg.contains("splits across node key") && msg.contains("not a subtree range"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn patch_rejects_a_range_whose_subtree_holds_outside_keys() {
+        // The root's key alone: the descent stops at the root at once, but
+        // its subtree holds every other key too.
+        let mut t = KstTree::balanced(3, 40);
+        let rk = t.key_of(t.root());
+        let msg = panic_message(|| {
+            t.patch_subtree(rk, rk, &ShapeTree::balanced_kary(1, 3));
+        });
+        assert!(
+            msg.contains("spans keys [1,40]") && msg.contains("not a subtree range"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -309,13 +309,6 @@ impl DemandMatrix {
         DemandMatrix { n, d: counts }
     }
 
-    /// Densifies a sparse epoch ledger (the O(n²) allocation is the DP
-    /// consumers' requirement, not a copy of caller-held counts — only the
-    /// ledger's distinct pairs are written).
-    pub fn from_sparse(sparse: &crate::demand::SparseDemand) -> DemandMatrix {
-        DemandMatrix::from_pairs(sparse.n(), &sparse.pairs_sorted())
-    }
-
     /// Densifies canonical-order `(u, v, count)` pair entries (as produced
     /// by `SparseDemand::pairs_sorted` or `DemandView::pairs_sorted`) —
     /// the dense-DP consumers' entry point for the planner-facing demand
@@ -487,27 +480,25 @@ mod tests {
     }
 
     #[test]
-    fn from_sparse_matches_from_trace() {
+    fn from_pairs_matches_from_trace() {
         let t = Trace::new(6, vec![(1, 2), (1, 2), (6, 3), (2, 1)]);
         let mut sparse = crate::demand::SparseDemand::new(6);
         for &(u, v) in t.requests() {
             sparse.record(u, v);
         }
         assert_eq!(
-            DemandMatrix::from_sparse(&sparse),
+            DemandMatrix::from_pairs(6, &sparse.pairs_sorted()),
             DemandMatrix::from_trace(&t)
         );
     }
 
     #[test]
     #[should_panic(expected = "self-demand (2,2)")]
-    fn from_sparse_rejects_self_demand() {
-        // In debug builds record_many's debug_assert trips first; in
-        // release the densifier's own diagonal check catches the slipped
-        // self-pair. Both messages name the offending pair.
-        let mut sparse = crate::demand::SparseDemand::new(3);
-        sparse.record_many(2, 2, 1);
-        DemandMatrix::from_sparse(&sparse);
+    fn from_pairs_rejects_self_demand() {
+        // The densifier re-checks the diagonal in release builds too, so a
+        // self-pair that slipped past a ledger's debug-only check is caught
+        // here, and the message names the offending pair.
+        DemandMatrix::from_pairs(3, &[(1, 2, 4), (2, 2, 1)]);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! pointers; every partial patch of a rotated tree — random exact-subtree
 //! ranges with random fragments, and the connector patches
 //! `extract_range` issues — is checked against an independent
-//! `BTreeSet` diff of the whole tree's edge set.
+//! `BTreeSet` diff of the whole tree's edge set. So is every
+//! `absorb_fragment` graft, at both ends, on rotated receivers and on
+//! fresh ones with the depth cache armed.
 //!
 //! **Incremental plans preserve the invariants.** Partial patches have no
 //! oracle — they are *supposed* to diverge from full rebuilds — so the
@@ -31,7 +33,7 @@
 
 use ksan::core::lazy::{incremental_weight_balanced_rebuilder, weight_balanced_rebuilder};
 use ksan::core::routing::route;
-use ksan::core::{FullRebuild, KstTree, NodeIdx, Rebuild};
+use ksan::core::{End, FullRebuild, KstTree, NodeIdx, Rebuild};
 use ksan::prelude::*;
 use ksan::sim::experiments::{centroid_rebuilder, optimal_rebuilder};
 use ksan::statics::{centroid_shape, optimal_routing_based};
@@ -578,5 +580,53 @@ fn extract_range_connector_links_match_edge_set_diff() {
             connectors >= 10,
             "k={k}: too few connector patches ({connectors})"
         );
+    }
+}
+
+/// `absorb_fragment` books exactly the receiver's edge-set change, and
+/// keeps every old receiver edge: each extracted fragment is grafted at
+/// both ends of a rotated receiver and of a fresh one whose depth cache is
+/// armed. On `End::Low` the old keys move up by the fragment size, so the
+/// old edges are compared shifted.
+#[test]
+fn absorb_fragment_links_match_edge_set_diff() {
+    let mut rng = StdRng::seed_from_u64(0xAB_50_4B);
+    for k in [2usize, 3, 4] {
+        for round in 0..20u64 {
+            let n = 200;
+            let mut donor = rotated_tree(k, n, 900 + 20 * k as u64 + round);
+            let take = rng.gen_range(1..=n as NodeKey / 3);
+            let (lo, hi) = if round % 2 == 0 {
+                (1, take)
+            } else {
+                (n as NodeKey - take + 1, n as NodeKey)
+            };
+            let (fragment, _) = donor.extract_range(lo, hi);
+            let f = fragment.len() as NodeKey;
+            let receivers = [
+                rotated_tree(k, 150, 1_300 + 20 * k as u64 + round),
+                KstTree::balanced(k, 150),
+            ];
+            assert!(!receivers[0].depth_cache_armed() && receivers[1].depth_cache_armed());
+            for receiver in &receivers {
+                for end in [End::Low, End::High] {
+                    let mut recv = receiver.clone();
+                    let before = key_edges(&recv, if end == End::Low { f } else { 0 });
+                    let cost = recv.absorb_fragment(end, &fragment);
+                    let after = key_edges(&recv, 0);
+                    let armed = receiver.depth_cache_armed();
+                    let what = format!("k={k} round {round} {end:?} armed={armed}");
+                    assert_eq!(
+                        cost.links_changed,
+                        before.symmetric_difference(&after).count() as u64,
+                        "{what}: absorb miscounted links"
+                    );
+                    assert!(before.is_subset(&after), "{what}: an old edge was lost");
+                    assert_eq!(recv.depth_cache_armed(), armed, "{what}");
+                    ksan::core::invariants::validate(&recv)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                }
+            }
+        }
     }
 }
