@@ -93,7 +93,8 @@ fn steady_state_with_drift() -> (KstTree, DecayingDemand) {
     let mut full = weight_balanced_rebuilder(K);
     let plan = full.plan(&tree, &demand.view());
     plan.apply_to(&mut tree);
-    demand.mark_planned(&plan.ranges());
+    let key_weights = demand.key_weights();
+    demand.mark_planned(&key_weights, &plan.ranges());
     record_perturbation(&mut demand);
     demand.decay_merge();
     (tree, demand)

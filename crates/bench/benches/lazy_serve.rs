@@ -15,7 +15,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use kst_core::alloc_probe::{self, CountingAlloc};
 use kst_core::lazy::weight_balanced_rebuilder;
-use kst_core::{KstTree, LazyKaryNet, Network, ShapeTree, SparseDemand};
+use kst_core::{DecayingDemand, KstTree, LazyKaryNet, Network, ShapeTree};
 use kst_workloads::gens;
 use std::hint::black_box;
 
@@ -63,10 +63,11 @@ fn bench_lazy_serve(c: &mut Criterion) {
 /// lazy net pays each time α fires at 10⁵ nodes.
 fn bench_lazy_rebuild(c: &mut Criterion) {
     let trace = zipf_trace();
-    let mut demand = SparseDemand::new(N);
+    let mut demand = DecayingDemand::new(N, 0);
     for &(u, v) in trace.requests() {
         demand.record(u, v);
     }
+    demand.decay_merge();
     let mut group = c.benchmark_group("lazy_rebuild");
     group.throughput(Throughput::Elements(1));
     for k in [2usize, 4] {

@@ -10,10 +10,10 @@
 //!
 //! 1. iteration over identifiers bound to `HashMap`/`HashSet` (`for`
 //!    loops and `.iter()/.keys()/.values()/.drain()/...` calls) — the
-//!    bug class `SparseDemand`'s canonical row-major iteration exists to
-//!    avoid. Commutative folds that provably don't depend on visit order
-//!    stay allowed via `// ksan-allow: determinism <why the fold is
-//!    order-free>`;
+//!    bug class `DecayingDemand`'s canonical row-major iteration exists
+//!    to avoid. Commutative folds that provably don't depend on visit
+//!    order stay allowed via `// ksan-allow: determinism <why the fold
+//!    is order-free>`;
 //! 2. `Instant`/`SystemTime` reads — wall-clock values must never feed
 //!    cost accounting (bench harnesses live outside `Core` scope).
 

@@ -144,17 +144,11 @@ impl Reshardable for KSplayNet {
     }
 
     fn absorb_low(&mut self, fragment: &ShapeTree) -> ServeCost {
-        let cost = self.tree.absorb_fragment(End::Low, fragment);
-        // The tree grew: keep the zero-allocation serve guarantee by
-        // re-sizing scratch for the strategy's span before serving resumes.
-        self.tree.reserve_scratch(self.strategy.span());
-        cost
+        self.tree.absorb_fragment(End::Low, fragment)
     }
 
     fn absorb_high(&mut self, fragment: &ShapeTree) -> ServeCost {
-        let cost = self.tree.absorb_fragment(End::High, fragment);
-        self.tree.reserve_scratch(self.strategy.span());
-        cost
+        self.tree.absorb_fragment(End::High, fragment)
     }
 }
 

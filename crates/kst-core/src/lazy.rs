@@ -42,7 +42,7 @@ use crate::key::{NodeIdx, NodeKey, NIL};
 use crate::net::{Network, ServeCost};
 use crate::shape::ShapeTree;
 use crate::tree::KstTree;
-use kst_workloads::{DecayingDemand, DemandView, SparseDemand};
+use kst_workloads::{DecayingDemand, DemandView};
 
 /// One subtree replacement of a [`RebuildPlan`]: the subtree whose key set
 /// is exactly `[lo, hi]` is re-formed as `shape` (a fragment on
@@ -164,13 +164,13 @@ impl<F: FnMut(&DemandView<'_>) -> ShapeTree> Rebuild for FullRebuild<F> {
 /// tree wherever (and whenever) no demand was observed.
 pub fn weight_balanced_rebuilder(k: usize) -> impl Rebuild {
     FullRebuild(move |demand: &DemandView<'_>| {
-        ShapeTree::weight_balanced(demand.n(), k, demand.key_weights())
+        ShapeTree::weight_balanced(demand.n(), k, demand.weights().entries())
     })
 }
 
 /// Incremental weight-balanced rebuild policy: walks the live tree from
 /// the root and re-forms only the subtrees whose key ranges accumulated at
-/// least `tau` units of demand change (per the view's [`DirtyIndex`])
+/// least `tau` units of demand change (per the view's dirty [`KeyMass`])
 /// since they were last patched.
 ///
 /// At each node with dirty mass `d ≥ τ` over its range the planner
@@ -190,7 +190,7 @@ pub fn weight_balanced_rebuilder(k: usize) -> impl Rebuild {
 /// so their baselines stay put and their drift keeps accumulating until a
 /// local patch eventually claims them — bounded residue, cleaned lazily.
 ///
-/// [`DirtyIndex`]: kst_workloads::DirtyIndex
+/// [`KeyMass`]: kst_workloads::KeyMass
 pub struct IncrementalWeightBalanced {
     k: usize,
     tau: u64,
@@ -213,7 +213,8 @@ impl IncrementalWeightBalanced {
     /// weights shifted to the fragment-local key space.
     fn fragment(&self, demand: &DemandView<'_>, a: NodeKey, b: NodeKey) -> ShapeTree {
         let hot: Vec<(NodeKey, u64)> = demand
-            .key_weights_in(a, b)
+            .weights()
+            .range(a, b)
             .iter()
             .map(|&(key, w)| (key - a + 1, w))
             .collect();
@@ -280,7 +281,7 @@ impl Rebuild for IncrementalWeightBalanced {
                 }
             }
             let remainder = d - claimed;
-            let profile_changed = 2 * d >= demand.weight_mass(a, b);
+            let profile_changed = 2 * d >= demand.weights().range_mass(a, b);
             if kids.is_empty() || profile_changed || (remainder >= self.tau && remainder >= claimed)
             {
                 patches.push(SubtreePatch {
@@ -378,12 +379,6 @@ impl<R: Rebuild> LazyKaryNet<R> {
         self.since_rebuild
     }
 
-    /// Read access to the current epoch's raw demand ledger (empty right
-    /// after a rebuild boundary).
-    pub fn epoch_demand(&self) -> &SparseDemand {
-        self.demand.epoch()
-    }
-
     /// Read access to the full decaying ledger (smoothed history + epoch).
     pub fn demand(&self) -> &DecayingDemand {
         &self.demand
@@ -446,7 +441,7 @@ impl<R: Rebuild> Network for LazyKaryNet<R> {
             // ksan-allow: no-alloc epoch-boundary patch application, amortized over α routing cost
             cost += plan.apply_to(&mut self.tree);
             // ksan-allow: no-alloc epoch-boundary baseline advance, amortized over α routing cost
-            self.demand.mark_planned_from(&key_weights, &plan.ranges());
+            self.demand.mark_planned(&key_weights, &plan.ranges());
             self.patches_applied += cost.rebuild_patches;
             self.nodes_patched += cost.rebuild_nodes;
             self.since_rebuild = 0;
@@ -524,13 +519,12 @@ mod tests {
                 // handed to the planner) and the accumulated routing cost
                 // restarts from zero.
                 boundaries += 1;
-                assert!(net.epoch_demand().is_empty(), "ledger must be empty");
-                assert_eq!(net.epoch_demand().total(), 0);
-                assert_eq!(net.epoch_demand().distinct_pairs(), 0);
+                assert_eq!(net.demand().epoch_total(), 0, "ledger must be empty");
+                assert_eq!(net.demand().epoch_pairs(), 0);
                 assert_eq!(net.since_rebuild(), 0, "cost accumulator must reset");
             } else {
                 // Between boundaries the ledger is tracking this epoch.
-                assert!(net.epoch_demand().total() > 0);
+                assert!(net.demand().epoch_total() > 0);
                 assert!(net.since_rebuild() > 0);
             }
         }
@@ -599,8 +593,8 @@ mod tests {
         for i in 0..1000u32 {
             net.serve(1 + i % 50, n as u32 - (i % 40));
         }
-        assert!(net.epoch_demand().distinct_pairs() <= 50 * 40);
-        assert_eq!(net.epoch_demand().total(), 1000);
+        assert!(net.demand().epoch_pairs() <= 50 * 40);
+        assert_eq!(net.demand().epoch_total(), 1000);
     }
 
     #[test]

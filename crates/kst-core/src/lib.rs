@@ -77,7 +77,7 @@ pub use centroid_net::{KPlusOneSplayNet, Membership};
 pub use complete::CompleteTopology;
 pub use key::{key_image, NodeIdx, NodeKey, RoutingKey, NIL};
 pub use ksplaynet::KSplayNet;
-pub use kst_workloads::{DecayingDemand, DemandView, DirtyIndex, SparseDemand};
+pub use kst_workloads::{DecayingDemand, DemandView, KeyMass};
 pub use lazy::{
     incremental_weight_balanced_rebuilder, weight_balanced_rebuilder, FullRebuild,
     IncrementalWeightBalanced, LazyKaryNet, Rebuild, RebuildPlan, SubtreePatch,

@@ -2,8 +2,9 @@
 //! the engine's live resharding.
 //!
 //! A reshardable network can splice a run of its lowest or highest keys
-//! out as a [`ShapeTree`] fragment ([`KstTree::extract_range`]) and graft
-//! a neighbour's fragment onto either end ([`KstTree::absorb_fragment`]),
+//! out as a [`ShapeTree`] fragment ([`crate::KstTree::extract_range`]) and
+//! graft a neighbour's fragment onto either end
+//! ([`crate::KstTree::absorb_fragment`]),
 //! renumbering its local keyspace so it stays `1..=n`. The engine's
 //! migration applier pairs one extract with one absorb on the adjacent
 //! shard and shifts the [`ShardMap`] boundary between them; the global

@@ -67,11 +67,6 @@ impl RotorWalkNet {
         self.top.pos_of(i)
     }
 
-    /// Key occupying position `p`. Observability/test helper.
-    pub fn occupant(&self, p: u32) -> NodeKey {
-        self.top.item_at(p) + 1
-    }
-
     /// Full undirected edge set in key space, sorted — test helper,
     /// allocates, never on the serve path.
     pub fn edge_keys(&self) -> Vec<(u32, u32)> {

@@ -63,7 +63,7 @@ impl ShapeTree {
     /// `1..=n` from observed per-key frequencies: every key gets a base
     /// weight of 1 plus its observed frequency from `hot` (a by-key sorted
     /// `(key, frequency)` list, keys in `1..=n`, typically
-    /// `SparseDemand::key_weights`), and each node takes the weighted
+    /// `DecayingDemand::key_weights`), and each node takes the weighted
     /// median of its key range as its own key, splitting the remainder
     /// into up to `k` child ranges of roughly equal weight.
     ///

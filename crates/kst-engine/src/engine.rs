@@ -568,11 +568,6 @@ impl<N: Network> ShardedEngine<N> {
         &self.map
     }
 
-    /// The engine configuration in use.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     /// Read access to the shard networks (tests, reporting).
     pub fn nets(&self) -> &[N] {
         &self.nets

@@ -1,17 +1,31 @@
-//! Decaying epoch-demand ledger and the planner-facing demand view.
+//! The sparse demand ledger and the planner-facing demand view.
 //!
-//! [`SparseDemand`] forgets everything at each rebuild boundary, which is
-//! exactly wrong for the non-stationary traffic *Toward Demand-Aware
-//! Networking* argues real datacenter workloads exhibit: a lazy net that
-//! re-optimizes from single-epoch samples thrashes between unrelated
-//! optima. [`DecayingDemand`] keeps an **exponentially weighted moving
-//! average** of the per-pair demand across epochs: at every epoch boundary
-//! ([`DecayingDemand::decay_merge`]) the smoothed ledger is multiplied by
-//! `λ = 2^(−1/half_life)` and the raw epoch counts are added, so demand
-//! observed `half_life` epochs ago contributes half of what fresh demand
-//! does. `half_life = 0` disables the memory entirely (λ = 0), reproducing
-//! the per-epoch `SparseDemand` semantics bit-for-bit — the differential
-//! tests rely on that degenerate case.
+//! The lazy meta-algorithm (Feder et al., the paper's Section 1) and the
+//! live-resharding planner only ever observe the pairs a trace actually
+//! requests, and real traces touch far fewer than n² pairs (the
+//! sparse-demand insight of *Toward Demand-Aware Networking*). A dense n×n
+//! count array would cost 8 TB at the engine's 10⁶-node per-shard scale,
+//! so [`DecayingDemand`] stores one hash-map entry per **distinct directed
+//! pair**: memory and clearing an epoch are O(distinct pairs).
+//!
+//! Forgetting everything at each rebuild boundary is exactly wrong for the
+//! non-stationary traffic that paper argues real datacenter workloads
+//! exhibit: a lazy net that re-optimizes from single-epoch samples
+//! thrashes between unrelated optima. So the ledger keeps an
+//! **exponentially weighted moving average** of the per-pair demand across
+//! epochs: at every epoch boundary ([`DecayingDemand::decay_merge`]) the
+//! smoothed ledger is multiplied by `λ = 2^(−1/half_life)` and the raw
+//! epoch counts are added, so demand observed `half_life` epochs ago
+//! contributes half of what fresh demand does. `half_life = 0` disables
+//! the memory entirely (λ = 0): each merge replaces the smoothed ledger
+//! with the epoch's raw counts bit-for-bit, the classic per-epoch
+//! semantics the differential tests rely on.
+//!
+//! Iteration order of a hash map is not deterministic, so every exposed
+//! traversal ([`DecayingDemand::pairs_sorted`],
+//! [`DecayingDemand::key_weights`]) sorts into canonical order first, and
+//! the policies consuming the ledger are bit-reproducible across runs and
+//! platforms.
 //!
 //! The EWMA runs in **fixed-point** arithmetic ([`FRAC`] fractional bits,
 //! decay multiplication rounds *down*) so the ledger stays deterministic
@@ -22,20 +36,32 @@
 //!
 //! On top of the smoothed ledger sits the **dirty tracking** the two-phase
 //! rebuild planner consumes: the ledger remembers the rounded per-key
-//! weights the last plan was built from ([`DecayingDemand::mark_planned`])
-//! and [`DecayingDemand::view`] exposes the absolute per-key weight change
-//! since then as a [`DirtyIndex`] — prefix-summed, so a planner can ask
-//! "how much did demand change inside key range `[a, b]`" in O(log)
-//! ("which subtree roots saw demand change ≥ τ since the last rebuild").
+//! weights the last plan was built from ([`DecayingDemand::mark_planned`]),
+//! and [`DecayingDemand::view`] exposes both the weights and their absolute
+//! change since then as [`KeyMass`] indexes — prefix-summed, so a planner
+//! can ask "how much demand (or change) lies inside key range `[a, b]`" in
+//! O(log) ("which subtree roots saw demand change ≥ τ since the last
+//! rebuild").
 
-use crate::demand::{pack, unpack, SparseDemand};
 use crate::trace::NodeKey;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Fractional bits of the fixed-point EWMA counts.
 pub const FRAC: u32 = 16;
 
 const HALF: u64 = 1 << (FRAC - 1);
+
+/// Packs a directed pair into one hash key (row-major order-preserving).
+#[inline]
+fn pack(u: NodeKey, v: NodeKey) -> u64 {
+    ((u as u64) << 32) | v as u64
+}
+
+#[inline]
+fn unpack(p: u64) -> (NodeKey, NodeKey) {
+    ((p >> 32) as NodeKey, p as NodeKey)
+}
 
 /// Rounds a fixed-point count to the nearest integer (half away from
 /// zero) — the integer view rebuild policies consume.
@@ -67,17 +93,22 @@ fn lambda_fp(half_life: u32) -> u64 {
     ((lambda * (1u64 << FRAC) as f64).round() as u64).min((1u64 << FRAC) - 1)
 }
 
-/// EWMA-smoothed sparse demand ledger with per-key dirty tracking.
+/// EWMA-smoothed sparse directed-demand ledger over the keyspace `1..=n`,
+/// with per-key dirty tracking.
 ///
-/// Owns the current epoch's raw [`SparseDemand`]; epoch boundaries fold it
-/// into the smoothed fixed-point ledger via [`DecayingDemand::decay_merge`].
+/// Requests land in the current epoch's raw counts; epoch boundaries fold
+/// them into the smoothed fixed-point ledger via
+/// [`DecayingDemand::decay_merge`]. Recording a pair already in the epoch
+/// never allocates; a **new** distinct pair may allocate (amortized
+/// hash-map growth), which is the price of output-sensitive memory.
 #[derive(Debug, Clone)]
 pub struct DecayingDemand {
     n: usize,
-    half_life: u32,
     lambda_fp: u64,
-    /// Raw demand of the current (not yet merged) epoch.
-    epoch: SparseDemand,
+    /// Raw pair → count of the current (not yet merged) epoch.
+    epoch: HashMap<u64, u64>,
+    /// Sum of all `epoch` counts.
+    epoch_total: u64,
     /// Smoothed pair → fixed-point count; entries pruned at zero.
     smoothed: HashMap<u64, u64>,
     /// Exact sum of all `smoothed` entries.
@@ -96,9 +127,9 @@ impl DecayingDemand {
     pub fn new(n: usize, half_life: u32) -> DecayingDemand {
         DecayingDemand {
             n,
-            half_life,
             lambda_fp: lambda_fp(half_life),
-            epoch: SparseDemand::new(n),
+            epoch: HashMap::new(),
+            epoch_total: 0,
             smoothed: HashMap::new(),
             total_fp: 0,
             planned: HashMap::new(),
@@ -110,11 +141,6 @@ impl DecayingDemand {
         self.n
     }
 
-    /// Configured half-life in epochs (0 = no memory).
-    pub fn half_life(&self) -> u32 {
-        self.half_life
-    }
-
     /// The per-epoch decay multiplier exactly as represented in fixed
     /// point (`λ = lambda_fp / 2^FRAC ≈ 2^(−1/half_life)`) — the value an
     /// f64 reference model must use to reproduce the ledger's arithmetic
@@ -123,27 +149,49 @@ impl DecayingDemand {
         self.lambda_fp as f64 / (1u64 << FRAC) as f64
     }
 
-    /// Read access to the current (unmerged) epoch's raw ledger.
-    pub fn epoch(&self) -> &SparseDemand {
-        &self.epoch
+    /// Number of distinct directed pairs recorded in the current
+    /// (unmerged) epoch.
+    pub fn epoch_pairs(&self) -> usize {
+        self.epoch.len()
     }
 
-    /// Records one `u → v` request into the current epoch.
+    /// Total requests recorded in the current (unmerged) epoch.
+    pub fn epoch_total(&self) -> u64 {
+        self.epoch_total
+    }
+
+    /// Records one `u → v` request (1-based keys, `u != v`) into the
+    /// current epoch.
     #[inline]
     pub fn record(&mut self, u: NodeKey, v: NodeKey) {
-        self.epoch.record(u, v);
+        self.record_many(u, v, 1);
     }
 
     /// Records `w` requests `u → v` into the current epoch.
     #[inline]
     pub fn record_many(&mut self, u: NodeKey, v: NodeKey, w: u64) {
-        self.epoch.record_many(u, v, w);
+        debug_assert!(u != v, "self-demand ({u},{u})");
+        debug_assert!(
+            u >= 1 && u as usize <= self.n,
+            "key {u} out of 1..={}",
+            self.n
+        );
+        debug_assert!(
+            v >= 1 && v as usize <= self.n,
+            "key {v} out of 1..={}",
+            self.n
+        );
+        if w == 0 {
+            return;
+        }
+        *self.epoch.entry(pack(u, v)).or_insert(0) += w;
+        self.epoch_total += w;
     }
 
     /// Smoothed demand from `u` to `v`, rounded to the nearest integer
     /// (excludes the current unmerged epoch).
     pub fn get(&self, u: NodeKey, v: NodeKey) -> u64 {
-        round_fp(self.smoothed.get(&pack(u, v)).copied().unwrap_or(0))
+        round_fp(self.get_fp(u, v))
     }
 
     /// Smoothed demand in raw fixed-point units (testing hook for the
@@ -173,7 +221,9 @@ impl DecayingDemand {
     }
 
     /// Epoch boundary: decays the smoothed ledger by one half-life step
-    /// and folds the current epoch's raw counts in, then clears the epoch.
+    /// and folds the current epoch's raw counts in, then clears the epoch
+    /// (capacity retained, so the next epoch records its recurring pairs
+    /// without reallocating).
     ///
     /// Decay multiplies each entry by `λ` rounding **down**, so every
     /// un-refreshed entry strictly decreases and is pruned on reaching
@@ -193,16 +243,15 @@ impl DecayingDemand {
                 *v > 0
             });
         }
-        // Unsorted iteration is fine here: the fold is commutative, exact
-        // u64 addition, so the merged ledger is identical in any order —
-        // no need to pay the canonical sort.
-        for (u, v, c) in self.epoch.pairs_unsorted() {
+        // ksan-allow: determinism commutative, exact u64 fold — the merged ledger is identical in any visit order, so the canonical sort would buy nothing
+        for (&p, &c) in &self.epoch {
             let fp = c << FRAC;
-            *self.smoothed.entry(pack(u, v)).or_insert(0) += fp;
+            *self.smoothed.entry(p).or_insert(0) += fp;
             total += fp;
         }
         self.total_fp = total;
         self.epoch.clear();
+        self.epoch_total = 0;
     }
 
     /// Forgets everything: smoothed ledger, current epoch, and planned
@@ -211,6 +260,7 @@ impl DecayingDemand {
         self.smoothed.clear();
         self.total_fp = 0;
         self.epoch.clear();
+        self.epoch_total = 0;
         self.planned.clear();
     }
 
@@ -233,10 +283,11 @@ impl DecayingDemand {
         pairs
     }
 
-    /// Rounded smoothed per-key weights (each pair credits both
-    /// endpoints), sorted by key, zero-weight keys omitted. The
-    /// fixed-point sums are rounded once per key, so with `half_life = 0`
-    /// this equals `SparseDemand::key_weights` of the last epoch exactly.
+    /// Rounded smoothed per-key weights — each pair credits its count to
+    /// **both** endpoints — sorted by key, zero-weight keys omitted
+    /// (O(distinct pairs)). The fixed-point sums are rounded once per key,
+    /// so with `half_life = 0` these are the last epoch's exact integer
+    /// key frequencies.
     pub fn key_weights(&self) -> Vec<(NodeKey, u64)> {
         let mut w: HashMap<NodeKey, u64> = HashMap::with_capacity(self.smoothed.len());
         // ksan-allow: determinism commutative accumulation; the result is sorted by key below
@@ -258,8 +309,9 @@ impl DecayingDemand {
     }
 
     /// Builds the planner-facing view of the smoothed ledger: rounded key
-    /// weights plus the dirty index of per-key change since each key's
-    /// last planned baseline. Call after [`DecayingDemand::decay_merge`].
+    /// weights plus the per-key change since each key's last planned
+    /// baseline, both as [`KeyMass`] indexes. Call after
+    /// [`DecayingDemand::decay_merge`].
     ///
     /// A key counts as **drifted** once its weight roughly doubled or
     /// halved relative to the baseline (or appeared/vanished); sub-octave
@@ -275,9 +327,10 @@ impl DecayingDemand {
     /// τ-thresholded range queries weigh a hot key's explosion far above
     /// a warm key's flicker.
     pub fn view(&self) -> DemandView<'_> {
-        let kw = self.key_weights();
+        let weights = KeyMass::new(self.key_weights());
+        let kw = weights.entries();
         let mut dirty: Vec<(NodeKey, u64)> = Vec::with_capacity(kw.len());
-        for &(key, w) in &kw {
+        for &(key, w) in kw {
             let base = self.planned.get(&key).copied().unwrap_or(0);
             let delta = w.abs_diff(base);
             if delta > 0 && (w >= 2 * base || 2 * w <= base) && w.max(base) > 2 {
@@ -295,37 +348,21 @@ impl DecayingDemand {
         }
         dirty.sort_unstable_by_key(|&(key, _)| key);
         DemandView {
-            n: self.n,
-            weights_pre: prefix_sums(&kw),
-            key_weights: kw,
-            dirty: DirtyIndex::new(dirty),
+            weights,
+            dirty: KeyMass::new(dirty),
             demand: self,
         }
     }
 
-    /// Records the rounded key weights inside the given **sorted,
-    /// disjoint** key ranges as the new planned baseline — the ranges a
-    /// rebuild plan actually patched. Keys outside every range keep their
-    /// old baseline, so their drift keeps counting as dirty.
-    pub fn mark_planned(&mut self, ranges: &[(NodeKey, NodeKey)]) {
-        if ranges.is_empty() {
-            return;
-        }
-        let kw = self.key_weights();
-        self.mark_planned_from(&kw, ranges);
-    }
-
-    /// [`DecayingDemand::mark_planned`] with the current rounded key
-    /// weights supplied by the caller — the lazy net already holds them
-    /// from the plan's [`DemandView`], so the rebuild trigger avoids a
-    /// second O(distinct pairs) ledger scan. `key_weights` must be this
-    /// ledger's weights as of the last merge
-    /// ([`DemandView::into_key_weights`]).
-    pub fn mark_planned_from(
-        &mut self,
-        key_weights: &[(NodeKey, u64)],
-        ranges: &[(NodeKey, NodeKey)],
-    ) {
+    /// Records `key_weights` inside the given **sorted, disjoint** key
+    /// ranges as the new planned baseline — the ranges a rebuild plan
+    /// actually patched. Keys outside every range keep their old baseline,
+    /// so their drift keeps counting as dirty. `key_weights` must be this
+    /// ledger's rounded weights as of the last merge: the lazy net hands
+    /// back the ones its plan's view already built
+    /// ([`DemandView::into_key_weights`]), so a rebuild trigger scans the
+    /// ledger once, not twice.
+    pub fn mark_planned(&mut self, key_weights: &[(NodeKey, u64)], ranges: &[(NodeKey, NodeKey)]) {
         if ranges.is_empty() {
             return;
         }
@@ -344,64 +381,35 @@ impl DecayingDemand {
     }
 }
 
-/// Mass of entries with key in `[a, b]` given by-key sorted entries and
-/// their prefix sums — the one copy of the boundary logic behind
-/// [`DirtyIndex::range_mass`] and [`DemandView::weight_mass`]. Inverted
-/// ranges are empty, never an underflow.
-fn range_mass_over(entries: &[(NodeKey, u64)], pre: &[u64], a: NodeKey, b: NodeKey) -> u64 {
-    if a > b {
-        return 0;
-    }
-    let lo = entries.partition_point(|&(key, _)| key < a);
-    let hi = entries.partition_point(|&(key, _)| key <= b);
-    pre[hi] - pre[lo]
-}
-
-/// `pre[i]` = sum of the first `i` weights — the range-mass backbone
-/// shared by [`DemandView::weight_mass`] and [`DirtyIndex`].
-fn prefix_sums(entries: &[(NodeKey, u64)]) -> Vec<u64> {
-    let mut pre = Vec::with_capacity(entries.len() + 1);
-    let mut acc = 0u64;
-    pre.push(0);
-    for &(_, w) in entries {
-        acc += w;
-        pre.push(acc);
-    }
-    pre
-}
-
 /// The demand snapshot a rebuild planner consumes: node count, rounded
-/// per-key weights, canonical-order pair counts, and the dirty index of
-/// demand change since the last plan.
+/// per-key weights, canonical-order pair counts, and the per-key change
+/// since the last plan.
 ///
-/// Constructed by [`DecayingDemand::view`] (smoothed, dirty vs planned
-/// baselines); pair queries read through to that ledger.
+/// Constructed by [`DecayingDemand::view`]; pair queries read through to
+/// that ledger.
 pub struct DemandView<'a> {
-    n: usize,
-    key_weights: Vec<(NodeKey, u64)>,
-    /// Prefix sums over `key_weights` backing [`DemandView::weight_mass`].
-    weights_pre: Vec<u64>,
-    dirty: DirtyIndex,
+    weights: KeyMass,
+    dirty: KeyMass,
     demand: &'a DecayingDemand,
 }
 
 impl<'a> DemandView<'a> {
     /// Number of nodes in the keyspace.
     pub fn n(&self) -> usize {
-        self.n
+        self.demand.n
     }
 
-    /// Rounded per-key weights sorted by key (zero-weight keys omitted) —
-    /// the input of the weight-balanced policies.
-    pub fn key_weights(&self) -> &[(NodeKey, u64)] {
-        &self.key_weights
+    /// Rounded per-key weights (zero-weight keys omitted) — the input of
+    /// the weight-balanced policies, and the denominator a planner compares
+    /// dirty mass against to decide whether a range's demand profile has
+    /// fundamentally changed.
+    pub fn weights(&self) -> &KeyMass {
+        &self.weights
     }
 
-    /// Per-key weights restricted to keys in `[a, b]` (a sorted subslice).
-    pub fn key_weights_in(&self, a: NodeKey, b: NodeKey) -> &[(NodeKey, u64)] {
-        let lo = self.key_weights.partition_point(|&(key, _)| key < a);
-        let hi = self.key_weights.partition_point(|&(key, _)| key <= b);
-        &self.key_weights[lo..hi]
+    /// Per-key absolute weight change since the last planned baseline.
+    pub fn dirty(&self) -> &KeyMass {
+        &self.dirty
     }
 
     /// All `(u, v, count)` pair entries in canonical row-major order
@@ -410,70 +418,77 @@ impl<'a> DemandView<'a> {
         self.demand.pairs_sorted()
     }
 
-    /// Total demand (sum of all pair counts, rounded for smoothed views).
-    pub fn total(&self) -> u64 {
-        self.demand.total()
-    }
-
-    /// The dirty index: per-key absolute weight change since the last
-    /// planned baseline, with O(log) range-mass queries.
-    pub fn dirty(&self) -> &DirtyIndex {
-        &self.dirty
-    }
-
-    /// Total demand weight of keys in `[a, b]` (two binary searches) —
-    /// the denominator a planner compares dirty mass against to decide
-    /// whether a range's demand profile has fundamentally changed.
-    pub fn weight_mass(&self, a: NodeKey, b: NodeKey) -> u64 {
-        range_mass_over(&self.key_weights, &self.weights_pre, a, b)
-    }
-
-    /// Consumes the view, handing back its key-weight vector — so a
-    /// rebuild trigger can feed [`DecayingDemand::mark_planned_from`]
-    /// without a second ledger scan.
+    /// Consumes the view, handing back its key-weight entries — so a
+    /// rebuild trigger can feed [`DecayingDemand::mark_planned`] without a
+    /// second ledger scan.
     pub fn into_key_weights(self) -> Vec<(NodeKey, u64)> {
-        self.key_weights
+        self.weights.entries
     }
 }
 
-/// Prefix-summed per-key change mass: lets a planner ask "how much did
-/// demand change inside key range `[a, b]` since the last rebuild" in two
-/// binary searches.
-#[derive(Debug, Clone, Default)]
-pub struct DirtyIndex {
-    /// `(key, |Δweight|)` sorted by key, zero deltas omitted.
-    keys: Vec<(NodeKey, u64)>,
-    /// `pre[i]` = sum of the first `i` deltas.
+/// Sorted per-key mass with prefix sums — the one range index over the
+/// ledger: a planner asks "how much mass lies on keys in `[a, b]`" in two
+/// binary searches. A [`DemandView`] holds two: the key weights and their
+/// change since the last plan.
+#[derive(Debug, Clone)]
+pub struct KeyMass {
+    /// `(key, mass)` sorted by key.
+    entries: Vec<(NodeKey, u64)>,
+    /// `pre[i]` = sum of the first `i` masses.
     pre: Vec<u64>,
 }
 
-impl DirtyIndex {
-    /// Builds the index from by-key sorted `(key, change)` entries.
-    pub fn new(keys: Vec<(NodeKey, u64)>) -> DirtyIndex {
-        debug_assert!(keys.windows(2).all(|w| w[0].0 < w[1].0));
-        let pre = prefix_sums(&keys);
-        DirtyIndex { keys, pre }
+impl KeyMass {
+    /// Builds the index from by-key sorted `(key, mass)` entries.
+    pub fn new(entries: Vec<(NodeKey, u64)>) -> KeyMass {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut pre = Vec::with_capacity(entries.len() + 1);
+        let mut acc = 0u64;
+        pre.push(0);
+        for &(_, m) in &entries {
+            acc += m;
+            pre.push(acc);
+        }
+        KeyMass { entries, pre }
     }
 
-    /// Total change mass across all keys.
-    pub fn total(&self) -> u64 {
-        *self.pre.last().unwrap_or(&0)
-    }
-
-    /// Change mass of keys in `[a, b]` (0 for an inverted/empty range —
-    /// never an underflow).
-    pub fn range_mass(&self, a: NodeKey, b: NodeKey) -> u64 {
-        range_mass_over(&self.keys, &self.pre, a, b)
-    }
-
-    /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The raw `(key, change)` entries, sorted by key.
+    /// The `(key, mass)` entries, sorted by key.
     pub fn entries(&self) -> &[(NodeKey, u64)] {
-        &self.keys
+        &self.entries
+    }
+
+    /// Total mass across all keys.
+    pub fn total(&self) -> u64 {
+        self.pre[self.entries.len()]
+    }
+
+    /// True when no key carries mass.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Mass of keys in `[a, b]` (0 for an inverted range — never an
+    /// underflow).
+    pub fn range_mass(&self, a: NodeKey, b: NodeKey) -> u64 {
+        let span = self.span(a, b);
+        self.pre[span.end] - self.pre[span.start]
+    }
+
+    /// The entries with key in `[a, b]`, a sorted subslice (empty for an
+    /// inverted range).
+    pub fn range(&self, a: NodeKey, b: NodeKey) -> &[(NodeKey, u64)] {
+        &self.entries[self.span(a, b)]
+    }
+
+    /// Entry indices of the keys in `[a, b]`: the one key-range search
+    /// behind [`KeyMass::range_mass`] and [`KeyMass::range`].
+    fn span(&self, a: NodeKey, b: NodeKey) -> Range<usize> {
+        if a > b {
+            return 0..0;
+        }
+        let lo = self.entries.partition_point(|&(key, _)| key < a);
+        let hi = self.entries.partition_point(|&(key, _)| key <= b);
+        lo..hi
     }
 }
 
@@ -481,19 +496,95 @@ impl DirtyIndex {
 mod tests {
     use super::*;
 
+    /// A half-life-0 ledger holding exactly one merged epoch.
+    fn merged(n: usize, pairs: &[(NodeKey, NodeKey, u64)]) -> DecayingDemand {
+        let mut d = DecayingDemand::new(n, 0);
+        for &(u, v, w) in pairs {
+            d.record_many(u, v, w);
+        }
+        d.decay_merge();
+        d
+    }
+
+    /// Advances the planned baselines over `ranges` to the current weights.
+    fn plan_all(d: &mut DecayingDemand, ranges: &[(NodeKey, NodeKey)]) {
+        let kw = d.key_weights();
+        d.mark_planned(&kw, ranges);
+    }
+
+    #[test]
+    fn record_is_directed_and_counts_totals() {
+        let mut d = DecayingDemand::new(10, 0);
+        assert!(d.is_empty());
+        d.record(1, 2);
+        d.record(1, 2);
+        d.record(9, 3);
+        assert_eq!((d.epoch_pairs(), d.epoch_total()), (2, 3));
+        d.decay_merge();
+        assert_eq!(d.get(1, 2), 2);
+        assert_eq!(d.get(2, 1), 0, "demand is directed");
+        assert_eq!(d.get(9, 3), 1);
+        assert_eq!(d.total(), 3);
+        assert_eq!(d.distinct_pairs(), 2);
+    }
+
+    #[test]
+    fn clear_empties_but_keeps_keyspace() {
+        let mut d = merged(5, &[(1, 5, 7)]);
+        d.record_many(2, 3, 4);
+        d.clear();
+        assert!(d.is_empty());
+        assert_eq!(d.total(), 0);
+        assert_eq!(d.distinct_pairs(), 0);
+        assert_eq!((d.epoch_pairs(), d.epoch_total()), (0, 0));
+        assert_eq!(d.n(), 5);
+        assert_eq!(d.get(1, 5), 0);
+    }
+
+    #[test]
+    fn pairs_sorted_is_canonical_row_major() {
+        // insertion order deliberately scrambled
+        let d = merged(
+            100,
+            &[(50, 3, 1), (2, 90, 1), (2, 4, 1), (50, 1, 1), (7, 8, 1)],
+        );
+        let keys: Vec<(u32, u32)> = d.pairs_sorted().iter().map(|&(u, v, _)| (u, v)).collect();
+        assert_eq!(keys, vec![(2, 4), (2, 90), (7, 8), (50, 1), (50, 3)]);
+    }
+
+    #[test]
+    fn key_weights_credit_both_endpoints() {
+        let d = merged(10, &[(1, 2, 3), (2, 5, 4)]);
+        assert_eq!(d.key_weights(), vec![(1, 3), (2, 7), (5, 4)]);
+    }
+
+    #[test]
+    fn record_zero_is_a_noop() {
+        let mut d = DecayingDemand::new(4, 0);
+        d.record_many(1, 2, 0);
+        assert!(d.is_empty());
+        assert_eq!(d.epoch_total(), 0);
+        d.decay_merge();
+        assert!(d.is_empty());
+    }
+
     #[test]
     fn no_memory_half_life_reproduces_the_epoch_exactly() {
         let mut d = DecayingDemand::new(50, 0);
-        let mut s = SparseDemand::new(50);
         for &(u, v, w) in &[(1u32, 2u32, 3u64), (7, 40, 1), (2, 1, 9)] {
             d.record_many(u, v, w);
-            s.record_many(u, v, w);
         }
+        assert_eq!((d.epoch_pairs(), d.epoch_total()), (3, 13));
         d.decay_merge();
-        assert_eq!(d.pairs_sorted(), s.pairs_sorted());
-        assert_eq!(d.key_weights(), s.key_weights());
-        assert_eq!(d.total(), s.total());
-        assert!(d.epoch().is_empty(), "merge must clear the epoch");
+        assert_eq!(d.pairs_sorted(), vec![(1, 2, 3), (2, 1, 9), (7, 40, 1)]);
+        assert_eq!(d.key_weights(), vec![(1, 12), (2, 12), (7, 1), (40, 1)]);
+        assert_eq!(d.total(), 13);
+        assert_eq!(d.total_fp(), 13 << FRAC, "no rounding at half-life 0");
+        assert_eq!(
+            (d.epoch_pairs(), d.epoch_total()),
+            (0, 0),
+            "merge must clear the epoch"
+        );
         // A second merge with an empty epoch wipes everything (λ = 0).
         d.decay_merge();
         assert_eq!(d.total(), 0);
@@ -534,13 +625,12 @@ mod tests {
 
     #[test]
     fn dirty_tracks_change_since_mark_planned() {
-        let mut d = DecayingDemand::new(100, 0);
-        d.record_many(10, 20, 6);
-        d.decay_merge();
+        let mut d = merged(100, &[(10, 20, 6)]);
         // Nothing planned yet: everything is dirty.
         let v = d.view();
         assert_eq!(v.dirty().total(), 12); // both endpoints credited 6
-        d.mark_planned(&[(1, 100)]);
+        let kw = v.into_key_weights();
+        d.mark_planned(&kw, &[(1, 100)]);
         // Same demand again: weights unchanged → clean.
         d.record_many(10, 20, 6);
         d.decay_merge();
@@ -552,6 +642,7 @@ mod tests {
         let v = d.view();
         assert_eq!(v.dirty().range_mass(50, 60), 6);
         assert_eq!(v.dirty().range_mass(1, 40), 0);
+        assert_eq!(v.weights().range(15, 55), &[(20, 6), (50, 3)]);
     }
 
     #[test]
@@ -593,10 +684,8 @@ mod tests {
         // Weight-1↔2 flips sit at the implicit +1 base weight of the
         // weight-balanced builder: formally factor-2 changes, but they
         // carry no placement signal and must not count as drift.
-        let mut d = DecayingDemand::new(100, 0);
-        d.record_many(10, 20, 1);
-        d.decay_merge();
-        d.mark_planned(&[(1, 100)]);
+        let mut d = merged(100, &[(10, 20, 1)]);
+        plan_all(&mut d, &[(1, 100)]);
         d.record_many(10, 20, 2);
         d.decay_merge();
         assert_eq!(d.view().dirty().total(), 0, "1→2 flicker counted as drift");
@@ -608,11 +697,8 @@ mod tests {
 
     #[test]
     fn mark_planned_only_resets_covered_ranges() {
-        let mut d = DecayingDemand::new(100, 0);
-        d.record_many(5, 6, 4);
-        d.record_many(90, 91, 8);
-        d.decay_merge();
-        d.mark_planned(&[(1, 10)]); // only the left region was patched
+        let mut d = merged(100, &[(5, 6, 4), (90, 91, 8)]);
+        plan_all(&mut d, &[(1, 10)]); // only the left region was patched
         let v = d.view();
         assert_eq!(v.dirty().range_mass(1, 10), 0);
         assert_eq!(
@@ -624,10 +710,8 @@ mod tests {
 
     #[test]
     fn decayed_to_zero_keys_count_as_dirty() {
-        let mut d = DecayingDemand::new(50, 0);
-        d.record_many(7, 8, 5);
-        d.decay_merge();
-        d.mark_planned(&[(1, 50)]);
+        let mut d = merged(50, &[(7, 8, 5)]);
+        plan_all(&mut d, &[(1, 50)]);
         // Next epoch has no traffic at all: with half_life 0 the weights
         // drop to zero, which is a change of the full baseline.
         d.decay_merge();
@@ -636,23 +720,28 @@ mod tests {
     }
 
     #[test]
-    fn dirty_index_range_masses_are_prefix_consistent() {
-        let idx = DirtyIndex::new(vec![(2, 5), (7, 1), (8, 4), (40, 10)]);
+    fn key_mass_ranges_match_brute_force_sums() {
+        let entries = vec![(2, 5), (7, 1), (8, 4), (40, 10)];
+        let idx = KeyMass::new(entries.clone());
         assert_eq!(idx.total(), 20);
-        assert_eq!(idx.range_mass(1, 100), 20);
-        assert_eq!(idx.range_mass(3, 6), 0);
-        assert_eq!(idx.range_mass(7, 8), 5);
-        assert_eq!(idx.range_mass(8, 40), 14);
-    }
-
-    #[test]
-    fn key_weights_in_slices_by_range() {
-        let mut d = DecayingDemand::new(100, 0);
-        d.record_many(10, 20, 1);
-        d.record_many(30, 40, 2);
-        d.decay_merge();
-        let v = d.view();
-        assert_eq!(v.key_weights_in(15, 35), &[(20, 1), (30, 2)]);
-        assert_eq!(v.key_weights_in(41, 100), &[]);
+        assert!(!idx.is_empty());
+        assert_eq!(idx.entries(), &entries[..]);
+        for a in 0..=42 {
+            for b in a..=42 {
+                let want: Vec<(NodeKey, u64)> = entries
+                    .iter()
+                    .copied()
+                    .filter(|&(key, _)| a <= key && key <= b)
+                    .collect();
+                assert_eq!(idx.range(a, b), &want[..], "range [{a},{b}]");
+                let mass: u64 = want.iter().map(|&(_, m)| m).sum();
+                assert_eq!(idx.range_mass(a, b), mass, "range_mass [{a},{b}]");
+            }
+        }
+        // Inverted ranges are empty, never an underflow or a bad slice.
+        assert_eq!(idx.range_mass(8, 7), 0);
+        assert_eq!(idx.range(40, 2), &[]);
+        assert!(KeyMass::new(Vec::new()).is_empty());
+        assert_eq!(KeyMass::new(Vec::new()).range_mass(1, 9), 0);
     }
 }

@@ -310,7 +310,7 @@ impl DemandMatrix {
     }
 
     /// Densifies canonical-order `(u, v, count)` pair entries (as produced
-    /// by `SparseDemand::pairs_sorted` or `DemandView::pairs_sorted`) —
+    /// by `DecayingDemand::pairs_sorted` or `DemandView::pairs_sorted`) —
     /// the dense-DP consumers' entry point for the planner-facing demand
     /// views of the two-phase rebuild machinery.
     pub fn from_pairs(n: usize, pairs: &[(NodeKey, NodeKey, u64)]) -> DemandMatrix {
@@ -482,12 +482,13 @@ mod tests {
     #[test]
     fn from_pairs_matches_from_trace() {
         let t = Trace::new(6, vec![(1, 2), (1, 2), (6, 3), (2, 1)]);
-        let mut sparse = crate::demand::SparseDemand::new(6);
+        let mut ledger = crate::DecayingDemand::new(6, 0);
         for &(u, v) in t.requests() {
-            sparse.record(u, v);
+            ledger.record(u, v);
         }
+        ledger.decay_merge();
         assert_eq!(
-            DemandMatrix::from_pairs(6, &sparse.pairs_sorted()),
+            DemandMatrix::from_pairs(6, &ledger.pairs_sorted()),
             DemandMatrix::from_trace(&t)
         );
     }

@@ -62,8 +62,7 @@ pub mod prelude {
     };
     pub use kst_workloads::gens;
     pub use kst_workloads::{
-        partition_keyspace, DecayingDemand, DemandMatrix, DemandView, DirtyIndex, KeyRange,
-        SparseDemand, Trace,
+        partition_keyspace, DecayingDemand, DemandMatrix, DemandView, KeyMass, KeyRange, Trace,
     };
     pub use splaynet_classic::ClassicSplayNet;
 }

@@ -1,6 +1,6 @@
 //! Differential guarantees of the sharded engine (`kst-engine`):
 //!
-//! 1. a **1-shard** engine is bit-identical to `run_network` on *every*
+//! 1. a **1-shard** engine is bit-identical to `kst_sim::run` on *every*
 //!    network type — move-for-move per-request costs, not just totals;
 //! 2. for an intra-shard trace, **S-shard** per-shard partials are
 //!    move-for-move identical to standalone nets over each shard's
@@ -23,8 +23,8 @@ use ksan::engine::{
     EngineConfig, EngineReport, ObsMode, ReshardConfig, ReshardReport, ShardedEngine, SpineMode,
 };
 use ksan::prelude::*;
-use ksan::sim::experiments::{centroid_rebuilder, run_network};
-use ksan::sim::{run_observed, ObsCollector};
+use ksan::sim::experiments::centroid_rebuilder;
+use ksan::sim::{run, run_observed, ObsCollector};
 use ksan::statics::StaticNet;
 
 // The engine moves shard nets into worker threads; every network type it
@@ -38,7 +38,7 @@ const _: () = {
 
 /// Serves `trace` through a fresh 1-shard engine and a fresh reference
 /// net from the same factory, asserting per-request bit-identity, then
-/// checks the engine total against `run_network`.
+/// checks the engine total against `kst_sim::run`.
 fn assert_one_shard_identical<N: Network + Send>(label: &str, make: impl Fn(usize) -> N + Sync) {
     let n = 96;
     let trace = gens::temporal(n, 3000, 0.6, 17);
@@ -53,7 +53,7 @@ fn assert_one_shard_identical<N: Network + Send>(label: &str, make: impl Fn(usiz
     }
     assert_eq!(report.cross.requests, 0, "{label}: 1 shard cannot cross");
     assert_eq!(report.router_hops, 0, "{label}");
-    let totals = run_network(make(n), &trace);
+    let totals = run(&mut make(n), &trace);
     assert_eq!(report.total(), totals, "{label}: totals diverged");
 }
 

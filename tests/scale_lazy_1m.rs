@@ -89,9 +89,9 @@ fn million_node_lazy_net_rebuilds_and_stays_within_memory_budget() {
     // Output-sensitive ledger: the current epoch tracks only observed
     // pairs (8 hot pairs + the cold singletons of this epoch), never n².
     assert!(
-        net.epoch_demand().distinct_pairs() <= REQUESTS / 16 + 8,
+        net.demand().epoch_pairs() <= REQUESTS / 16 + 8,
         "ledger holds {} distinct pairs",
-        net.epoch_demand().distinct_pairs()
+        net.demand().epoch_pairs()
     );
 
     // Memory: peak RSS within the documented budget (Linux-only probe).

@@ -225,13 +225,13 @@ fn serve_paths_never_allocate() {
         );
         // Warm pass: every distinct pair enters the ledger once.
         serve_all(&mut net, &trace);
-        let pairs_after_warmup = net.epoch_demand().distinct_pairs();
+        let pairs_after_warmup = net.demand().epoch_pairs();
         let ((), allocs) = alloc_probe::count_allocations(|| {
             std::hint::black_box(serve_all(&mut net, &trace));
         });
         assert_eq!(allocs, 0, "LazyKaryNet allocated on a warmed ledger");
         assert_eq!(
-            net.epoch_demand().distinct_pairs(),
+            net.demand().epoch_pairs(),
             pairs_after_warmup,
             "second pass over the same trace must add no distinct pairs"
         );
